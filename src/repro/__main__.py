@@ -17,8 +17,7 @@ Usage::
         [--jobs N] [--cache-dir DIR] [--no-disk-cache] [--no-cache]
     python -m repro lint vertex-cover --n 20 \\
         [--json] [--min-severity LEVEL] [--hard-scale X] [--qubit-budget Q]
-    python -m repro lint --self [--changed] [--sarif] [--baseline FILE] \\
-        [--cache-dir DIR] [--no-cache] [--jobs N]
+    python -m repro lint --self [--json] [--min-severity LEVEL]
     python -m repro certify vertex-cover --n 24 \\
         [--json] [--min-severity LEVEL] [--hard-scale X] [--out FILE] \\
         [--cache-dir DIR] [--no-cache] [--no-fallback]
@@ -39,16 +38,13 @@ statistics — with ``--jobs N`` fanning MILP synthesis over worker
 processes and ``--cache-dir DIR`` pointing the persistent template
 store somewhere explicit.  ``lint`` runs the static analyzers of
 :mod:`repro.analysis` — over a generated program, or over the repro
-codebase itself with ``--self`` (syntactic REP1xx–4xx rules plus the
-REP5xx concurrency dataflow rules, incrementally cached on disk; with
-``--changed`` reporting only re-analyzed files and their call-graph
-dependents, ``--sarif`` emitting a SARIF 2.1.0 log, and ``--baseline``
-ratcheting against ``lint-baseline.json``) — and exits 2/1/0 for
-errors/warnings/clean (see ``docs/analysis.md``).  ``certify`` compiles
-an instance and runs the compositional certification engine
-(:mod:`repro.analysis.certify`) over the artifact — proving the hard
-dominance and soft fidelity claims without enumeration, serializing the
-certificate with ``--out``, and exiting by the same 2/1/0 convention.
+codebase itself with ``--self`` (the per-module REP1xx–4xx rules) —
+and exits 2/1/0 for errors/warnings/clean (see ``docs/analysis.md``).
+``certify`` compiles an instance and runs the compositional
+certification engine (:mod:`repro.analysis.certify`) over the artifact
+— proving the hard dominance and soft fidelity claims without
+enumeration, serializing the certificate with ``--out``, and exiting by
+the same 2/1/0 convention.
 ``serve`` runs a self-contained demo workload through the multi-tenant
 solve service (:mod:`repro.service`): several tenants issue repeated
 requests under token-bucket quotas, so the output shows admission

@@ -1,6 +1,6 @@
 """Static analysis for NchooseK programs and for the repo itself.
 
-Two analyzers share one :class:`~repro.analysis.diagnostics.Diagnostic`
+Three analyzers share one :class:`~repro.analysis.diagnostics.Diagnostic`
 model and one reporting layer:
 
 * :mod:`repro.analysis.program` — the **program linter**: semantic
@@ -9,20 +9,11 @@ model and one reporting layer:
   variables; soft-weight/hard-gap scale mismatches; ancilla-budget
   estimates).  Runs automatically as the compiler pipeline's opt-out
   ``lint`` pre-pass.
-* :mod:`repro.analysis.codelint` — the **codebase lint engine**: AST
-  rules over ``src/repro`` (docstring presence/coverage, unseeded RNG,
-  naked ``except:``, mutable defaults, telemetry-name registry,
-  diagnostic-code catalog drift, ``__all__`` drift), honoring per-line
-  ``# nck: noqa[CODE]`` and file-level ``# nck: noqa-file[CODE]``
-  suppressions.  Its REP5xx concurrency rules run over the whole-package
-  dataflow graph built by :mod:`repro.analysis.flow` (rule bodies in
-  :mod:`repro.analysis.flowrules`), and its REP6xx determinism-taint
-  rules (:mod:`repro.analysis.taint` reachability,
-  :mod:`repro.analysis.taintrules` rule bodies) walk the same graph
-  from the ``@determinism_critical`` sink contracts declared in
-  :mod:`repro.determinism` — both with incremental on-disk caching,
-  parallel cold analysis, and the CI baseline ratchet in
-  :mod:`repro.analysis.lintcache`.
+* :mod:`repro.analysis.codelint` — the **codebase lint engine**:
+  per-module AST rules over ``src/repro`` (docstring
+  presence/coverage, unseeded RNG, naked ``except:``, mutable defaults,
+  telemetry-name registry, diagnostic-code catalog drift, ``__all__``
+  drift), honoring per-line ``# nck: noqa[CODE]`` suppressions.
 * :mod:`repro.analysis.certify` — the **certification engine**:
   post-compile compositional proofs over a
   :class:`~repro.compile.program.CompiledProgram` (per-constraint
@@ -47,23 +38,8 @@ from .certify import (
     check_energy,
     recheck_certificate,
 )
-from .codelint import (
-    CODE_RULES,
-    PackageLintResult,
-    analyze_package,
-    lint_file,
-    lint_package,
-)
+from .codelint import CODE_RULES, lint_file, lint_package
 from .encodings import ENCODING_RULES, encoding_diagnostics
-from .flow import FlowGraph, ModuleSummary, build_graph, summarize_module
-from .flowrules import FLOW_RULES, run_flow_rules
-from .lintcache import (
-    Baseline,
-    LintCache,
-    apply_baseline,
-    default_cache_dir,
-    load_baseline,
-)
 from .diagnostics import (
     Diagnostic,
     RuleInfo,
@@ -75,11 +51,8 @@ from .diagnostics import (
 )
 from .program import PROGRAM_RULES, estimate_qubits, lint_program
 from .report import render_json, render_text
-from .taint import declared_sinks, looks_like_sink, sink_path, sink_reach
-from .taintrules import TAINT_RULES, run_taint_rules
 
 __all__ = [
-    "Baseline",
     "CERTIFY_RULES",
     "CODE_RULES",
     "CertificateStore",
@@ -87,24 +60,13 @@ __all__ = [
     "ConstraintCertificate",
     "Diagnostic",
     "ENCODING_RULES",
-    "FLOW_RULES",
-    "FlowGraph",
-    "LintCache",
-    "ModuleSummary",
     "PROGRAM_RULES",
-    "PackageLintResult",
     "ProgramCertificate",
     "RuleInfo",
     "Severity",
-    "TAINT_RULES",
-    "analyze_package",
-    "apply_baseline",
-    "build_graph",
     "certificate_diagnostics",
     "certify_program",
     "check_energy",
-    "declared_sinks",
-    "default_cache_dir",
     "encoding_diagnostics",
     "estimate_qubits",
     "exit_code",
@@ -113,15 +75,8 @@ __all__ = [
     "lint_file",
     "lint_package",
     "lint_program",
-    "load_baseline",
-    "looks_like_sink",
     "recheck_certificate",
     "render_json",
     "render_text",
-    "run_flow_rules",
-    "run_taint_rules",
     "severity_counts",
-    "sink_path",
-    "sink_reach",
-    "summarize_module",
 ]

@@ -61,7 +61,6 @@ from ..compile.validate import (
     verify_compiled_program,
 )
 from ..compile.truthtable import MAX_UNIQUE_VARIABLES
-from ..determinism import determinism_critical
 from ..qubo.model import QUBO
 from .diagnostics import Diagnostic, RuleInfo, Severity
 
@@ -343,7 +342,6 @@ def _opt_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-@determinism_critical("analysis.qubo_fingerprint")
 def qubo_fingerprint(qubo: QUBO) -> str:
     """Content hash of a QUBO, stable under term ordering.
 
@@ -374,7 +372,6 @@ def _ancilla_sort_key(name: str) -> tuple:
     return (0, int(suffix), name) if suffix.isdigit() else (1, 0, name)
 
 
-@determinism_critical("analysis.certificate_profile_key")
 def _profile_cache_key(
     constraint: "Constraint", qubo: QUBO, ancillas: tuple[str, ...], scale: float
 ) -> str:

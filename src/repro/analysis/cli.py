@@ -7,16 +7,8 @@
     and ``compile`` use) and run the program linter over its ``Env``.
 
 ``python -m repro lint --self``
-    Run the codebase lint engine over the installed ``repro`` package:
-    the per-module REP1xx–4xx rules plus the REP5xx concurrency
-    dataflow rules and the REP6xx determinism-taint rules, with
-    incremental on-disk caching (``--cache-dir``, ``--no-cache``),
-    parallel cold analysis (``--jobs``), a changed-files-plus-dependents
-    report filter (``--changed``), SARIF export (``--sarif``), the CI
-    baseline ratchet (``--baseline``: baselined findings are reported
-    but do not gate, new findings fail, fixed-but-still-listed entries
-    fail until removed), and ``--sinks`` to print the registered
-    determinism-critical sink contracts instead of linting.
+    Run the codebase lint engine's per-module REP1xx–4xx rules over
+    every file of the installed ``repro`` package.
 
 ``python -m repro certify <problem> [--n N] [--out FILE]`` compiles the
 same instance and runs the compositional certification engine
@@ -40,7 +32,7 @@ import argparse
 import json
 
 from .diagnostics import Severity, exit_code, gate
-from .report import JSON_SCHEMA_VERSION, render_json, render_sarif, render_text
+from .report import JSON_SCHEMA_VERSION, render_json, render_text
 
 
 def configure_lint(parser: argparse.ArgumentParser) -> None:
@@ -62,58 +54,14 @@ def configure_lint(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n", type=int, default=12, help="instance size (nodes/elements/variables)"
     )
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument(
+    parser.add_argument(
         "--json", action="store_true", help="emit the JSON report envelope"
-    )
-    fmt.add_argument(
-        "--sarif",
-        action="store_true",
-        help="emit a SARIF 2.1.0 log for code-scanning consumers",
     )
     parser.add_argument(
         "--min-severity",
         choices=[str(s) for s in Severity],
         default="info",
         help="hide findings below this severity (also gates the exit code)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="with --self: report only findings in files the incremental "
-        "cache re-analyzed plus their call-graph dependents",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="ratchet against FILE (lint-baseline.json): baselined findings "
-        "are reported without gating; new and stale ones fail",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="lint-cache directory for --self (default: REPRO_CACHE_DIR or "
-        "~/.cache/repro/codelint)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the on-disk lint cache for this run (always cold)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analyze cold files across N worker processes",
-    )
-    parser.add_argument(
-        "--sinks",
-        action="store_true",
-        help="with --self: print the registered determinism-critical sink "
-        "contracts (the REP6xx taint roots) and exit",
     )
     parser.add_argument(
         "--hard-scale",
@@ -139,54 +87,10 @@ def run_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    if args.changed and not args.self_lint:
-        print(
-            "repro lint: error: --changed requires --self",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if args.sinks:
-        if not args.self_lint:
-            print(
-                "repro lint: error: --sinks requires --self",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        from ..determinism import load_declared_sinks
-
-        contracts = load_declared_sinks()
-        if not contracts:
-            print("no determinism-critical sinks registered")
-            return 1
-        width = max(len(key) for key in contracts)
-        for key, contract in contracts.items():
-            print(f"{key:<{width}}  {contract.module}.{contract.qualname}")
-        return 0
-    changed_note: str | None = None
     if args.self_lint:
-        from .codelint import analyze_package
-        from .lintcache import LintCache
+        from .codelint import lint_package
 
-        cache = None if args.no_cache else LintCache(args.cache_dir)
-        result = analyze_package(cache=cache, jobs=args.jobs)
-        diagnostics = result.diagnostics
-        if args.changed:
-            graph = result.graph
-            affected_files = {
-                module.display_path
-                for module in graph.modules.values()
-                if module.modname in result.affected
-            }
-            diagnostics = [
-                d
-                for d in diagnostics
-                if d.file is None or d.file in affected_files
-            ]
-            changed_note = (
-                f"changed: {len(result.changed)} file(s) re-analyzed, "
-                f"{len(result.affected)} module(s) affected (with "
-                "call-graph dependents)"
-            )
+        diagnostics = lint_package()
     else:
         from ..__main__ import _build_problem
         from .program import lint_program
@@ -198,43 +102,11 @@ def run_lint(args: argparse.Namespace) -> int:
             qubit_budget=args.qubit_budget,
         )
 
-    baselined = []
-    if args.baseline:
-        from .lintcache import apply_baseline, load_baseline
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as err:
-            print(f"repro lint: error: {err}", file=sys.stderr)
-            raise SystemExit(2) from None
-        gating, baselined, stale = apply_baseline(diagnostics, baseline)
-        diagnostics = gating + stale
-
     minimum = Severity.parse(args.min_severity)
-    if args.sarif:
-        from .codelint import CODE_RULES
-        from .program import PROGRAM_RULES
-
-        print(
-            render_sarif(
-                diagnostics,
-                minimum=minimum,
-                rules={**PROGRAM_RULES, **CODE_RULES},
-            )
-        )
-    elif args.json:
+    if args.json:
         print(render_json(diagnostics, minimum=minimum))
     else:
-        if changed_note is not None:
-            print(changed_note)
         print(render_text(diagnostics, minimum=minimum))
-        if baselined:
-            print(
-                f"baselined (reported, not gating): {len(baselined)} "
-                f"finding(s) tolerated by {args.baseline}"
-            )
-            for diag in baselined:
-                print(f"  {diag.render()}")
     return exit_code(gate(diagnostics, minimum))
 
 

@@ -27,52 +27,25 @@ REP302   error     diagnostic-code drift — a ``NCK###``/``REP###`` code
                    never emitted
 REP401   error     ``__all__`` drift — listed names that are unbound, or
                    public module-level definitions left unlisted
-REP501+  —         concurrency dataflow rules (blocking-in-async,
-                   unawaited coroutines, lock-order inversion,
-                   unpicklable pool submissions, cross-context
-                   mutation) — defined in
-                   :mod:`repro.analysis.flowrules`, run over the
-                   whole-package :class:`~repro.analysis.flow.FlowGraph`
-                   by :func:`analyze_package`
-REP601+  —         determinism-taint rules (unordered iteration,
-                   ambient state, float accumulation, identity-based
-                   key material, undeclared sinks) — defined in
-                   :mod:`repro.analysis.taintrules`, run over the
-                   declared-sink reachability of the same graph by
-                   :func:`analyze_package`
 =======  ========  =====================================================
 
-Per-line suppression uses ``# nck: noqa`` (everything) or
-``# nck: noqa[REP201]`` / ``# nck: noqa[REP201,REP301]`` (specific
-codes) on the flagged line; ``# nck: noqa-file[CODE,...]`` within the
-first five lines suppresses code(s) for the whole file (generated or
-fixture modules), with the bare ``noqa-file`` form suppressing
-everything.  File-level suppressions apply first; per-line comments
-then cover whatever the file-level form did not name.
-``python -m repro lint --self`` runs the whole engine over the
-installed package; ``make lint`` wires it into CI.  The incremental
-on-disk cache and parallel cold analysis live in
-:mod:`repro.analysis.lintcache`; the rule catalog with worked examples
-lives in ``docs/analysis.md``.
+Suppression uses ``# nck: noqa`` (everything) or ``# nck: noqa[REP201]``
+/ ``# nck: noqa[REP201,REP301]`` (specific codes) on the flagged line.
+``python -m repro lint --self`` runs every rule over the installed
+package, one file at a time; ``make lint`` wires it into CI.  The rule
+catalog with worked examples lives in ``docs/analysis.md``.
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-import hashlib
 import pathlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .. import telemetry
 from ..telemetry.naming import KNOWN_SPAN_PREFIXES, is_canonical_name
 from .diagnostics import Diagnostic, RuleInfo, Severity
-from .flow import FlowGraph, ModuleSummary, build_graph, summarize_module
-from .flowrules import FLOW_RULES, run_flow_rules
-from .lintcache import FileAnalysis, LintCache, diagnostic_from_dict
-from .taintrules import TAINT_RULES, run_taint_rules
 
 #: Modules whose whole public surface must carry docstrings (REP101).
 #: This is the load-bearing API surface; adding a module here is the
@@ -84,7 +57,6 @@ DOCSTRING_MODULES: tuple[str, ...] = (
     "telemetry/export.py",
     "core/env.py",
     "core/solution.py",
-    "determinism.py",
     "compile/program.py",
     "compile/cache.py",
     "compile/encodings.py",
@@ -113,11 +85,6 @@ DOCSTRING_MODULES: tuple[str, ...] = (
     "analysis/cli.py",
     "analysis/certify.py",
     "analysis/encodings.py",
-    "analysis/flow.py",
-    "analysis/flowrules.py",
-    "analysis/taint.py",
-    "analysis/taintrules.py",
-    "analysis/lintcache.py",
     "service/__init__.py",
     "service/config.py",
     "service/admission.py",
@@ -162,14 +129,7 @@ PARAM_COVERAGE: tuple[tuple[str, str], ...] = (
     ("service/service.py", "SolveService.solve"),
 )
 
-_NOQA = re.compile(r"#\s*nck:\s*noqa(?!-file)(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?")
-
-#: File-level suppression: only honored within the first
-#: :data:`_NOQA_FILE_WINDOW` lines, so it reads as a header declaration.
-_NOQA_FILE = re.compile(
-    r"#\s*nck:\s*noqa-file(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?"
-)
-_NOQA_FILE_WINDOW = 5
+_NOQA = re.compile(r"#\s*nck:\s*noqa(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?")
 
 _TELEMETRY_CALLS = frozenset({"span", "count", "gauge", "observe"})
 
@@ -761,78 +721,18 @@ def _suppressed_codes(line: str) -> set[str] | None:
     return {c.strip().upper() for c in codes.split(",") if c.strip()}
 
 
-def _file_suppressions(lines: list[str]) -> set[str] | None:
-    """Codes suppressed file-wide by ``# nck: noqa-file`` headers.
-
-    Only the first :data:`_NOQA_FILE_WINDOW` lines are scanned; multiple
-    headers merge.  An empty set means a bare ``noqa-file`` (suppress
-    everything); ``None`` means no file-level suppression at all.
-    """
-    found = False
-    codes: set[str] = set()
-    bare = False
-    for line in lines[:_NOQA_FILE_WINDOW]:
-        match = _NOQA_FILE.search(line)
-        if match is None:
-            continue
-        found = True
-        raw = match.group("codes")
-        if raw is None:
-            bare = True
-        else:
-            codes |= {c.strip().upper() for c in raw.split(",") if c.strip()}
-    if not found:
-        return None
-    return set() if bare else codes
-
-
 def _apply_suppressions(
     module: ModuleUnderLint, diagnostics: Iterable[Diagnostic]
 ) -> list[Diagnostic]:
-    """Drop diagnostics suppressed by noqa comments.
-
-    File-level ``noqa-file`` headers apply first (to every finding in
-    the file); per-line ``noqa`` comments then cover whatever the
-    file-level form did not name.
-    """
-    file_codes = _file_suppressions(module.lines)
+    """Drop diagnostics suppressed by a ``# nck: noqa`` on their line."""
     kept = []
     for diag in diagnostics:
-        if file_codes is not None and (not file_codes or diag.code in file_codes):
-            continue
         if diag.line is not None and 1 <= diag.line <= len(module.lines):
             codes = _suppressed_codes(module.lines[diag.line - 1])
             if codes is not None and (not codes or diag.code in codes):
                 continue
         kept.append(diag)
     return kept
-
-
-def _noqa_tables(
-    lines: list[str],
-) -> tuple[dict[str, list[str] | str], list[str] | str | None]:
-    """Serializable suppression tables for a module summary.
-
-    Returns ``(per_line, file_level)`` where ``per_line`` maps a line
-    number (as a string, for JSON round-tripping) to either ``"*"``
-    (bare noqa) or a sorted code list, and ``file_level`` is ``None``,
-    ``"*"``, or a sorted code list.  The flow rules consult these so
-    cached summaries suppress exactly like fresh source.
-    """
-    per_line: dict[str, list[str] | str] = {}
-    for number, line in enumerate(lines, start=1):
-        codes = _suppressed_codes(line)
-        if codes is None:
-            continue
-        per_line[str(number)] = "*" if not codes else sorted(codes)
-    file_codes = _file_suppressions(lines)
-    if file_codes is None:
-        file_level: list[str] | str | None = None
-    elif not file_codes:
-        file_level = "*"
-    else:
-        file_level = sorted(file_codes)
-    return per_line, file_level
 
 
 def package_root() -> pathlib.Path:
@@ -880,9 +780,6 @@ def lint_file(
 ) -> list[Diagnostic]:
     """Lint one source file and return its diagnostics, report-sorted.
 
-    Only the per-module rules run here; the REP5xx dataflow rules need
-    the whole package and run from :func:`analyze_package`.
-
     Parameters
     ----------
     path:
@@ -898,247 +795,23 @@ def lint_file(
     selected = set(rules) if rules is not None else set(CODE_RULES)
     diagnostics: list[Diagnostic] = []
     for code, info in CODE_RULES.items():
-        if code in selected and code not in FLOW_RULES and code not in TAINT_RULES:
+        if code in selected:
             diagnostics.extend(info.check(module))
     return sorted(_apply_suppressions(module, diagnostics), key=Diagnostic.sort_key)
-
-
-def analyze_file(
-    path: pathlib.Path,
-    *,
-    root: pathlib.Path,
-    rules: Iterable[str],
-    fingerprint: str = "",
-) -> FileAnalysis:
-    """One file's full cacheable analysis: per-module rules + flow summary.
-
-    This is the expensive per-file unit the incremental cache persists —
-    one parse serves both the syntactic REP1xx–4xx rules and the
-    :func:`~repro.analysis.flow.summarize_module` extraction.  The
-    returned diagnostics are already suppression-filtered; the summary
-    carries the noqa tables so the flow rules filter identically.
-    """
-    module = _load_module(path, root)
-    selected = set(rules)
-    diagnostics: list[Diagnostic] = []
-    for code, info in CODE_RULES.items():
-        if code in selected and code not in FLOW_RULES and code not in TAINT_RULES:
-            diagnostics.extend(info.check(module))
-    diagnostics = sorted(
-        _apply_suppressions(module, diagnostics), key=Diagnostic.sort_key
-    )
-    per_line, file_level = _noqa_tables(module.lines)
-    summary = summarize_module(
-        module.tree,
-        relpath=module.relpath,
-        display_path=module.display_path,
-        root=root,
-        noqa=per_line,
-        noqa_file=file_level,
-    )
-    return FileAnalysis(
-        relpath=module.relpath,
-        fingerprint=fingerprint,
-        diagnostics=diagnostics,
-        summary=summary,
-    )
-
-
-def _analyze_worker(job: tuple[str, str, tuple[str, ...], str]) -> dict:
-    """Process-pool unit for parallel cold analysis.
-
-    Takes ``(path, root, rules, fingerprint)`` as plain strings and
-    returns the JSON payload shape, keeping both directions picklable —
-    the module-level-function contract REP504 itself enforces.
-    """
-    path, root, rules, fingerprint = job
-    analysis = analyze_file(
-        pathlib.Path(path),
-        root=pathlib.Path(root),
-        rules=rules,
-        fingerprint=fingerprint,
-    )
-    return analysis.to_payload()
-
-
-def _analysis_from_payload(payload: dict) -> FileAnalysis:
-    """Rebuild a :class:`FileAnalysis` from a worker/cache payload."""
-    return FileAnalysis(
-        relpath=payload["relpath"],
-        fingerprint=payload["fingerprint"],
-        diagnostics=[diagnostic_from_dict(d) for d in payload["diagnostics"]],
-        summary=(
-            ModuleSummary.from_dict(payload["summary"])
-            if payload.get("summary") is not None
-            else None
-        ),
-    )
-
-
-def _extra_inputs_hash(path: pathlib.Path, relpath: str) -> str:
-    """Hash of inputs beyond the file's own source, for fingerprinting.
-
-    Only REP302's anchor file (``analysis/diagnostics.py``) reads other
-    files: the sibling ``analysis/*.py`` sources and the
-    ``docs/analysis.md`` catalog.  Hashing them into that one file's
-    cache key keeps the whole cache sound without making the entry
-    uncacheable.
-    """
-    if relpath != "analysis/diagnostics.py":
-        return ""
-    digest = hashlib.sha256()
-    for sibling in sorted(path.parent.glob("*.py")):
-        try:
-            digest.update(sibling.read_bytes())
-        except OSError:
-            digest.update(b"<unreadable>")
-    for parent in path.resolve().parents:
-        candidate = parent / "docs" / "analysis.md"
-        if candidate.is_file():
-            digest.update(candidate.read_bytes())
-            break
-    else:
-        digest.update(b"<no-docs>")
-    return digest.hexdigest()
-
-
-@dataclass
-class PackageLintResult:
-    """Everything one :func:`analyze_package` run learned.
-
-    ``diagnostics`` is the combined per-file + flow findings, sorted;
-    ``graph`` the linked :class:`~repro.analysis.flow.FlowGraph`;
-    ``changed`` the relpaths actually re-analyzed (cache misses);
-    ``affected`` the module names whose findings could have changed —
-    the changed modules plus their transitive call-graph dependents
-    (what ``--changed`` reports); ``cache`` the cache used, if any,
-    with its hit/miss/invalidation tallies.
-    """
-
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    graph: FlowGraph | None = None
-    changed: list[str] = field(default_factory=list)
-    affected: set[str] = field(default_factory=set)
-    cache: LintCache | None = None
-
-
-def analyze_package(
-    root: pathlib.Path | None = None,
-    *,
-    rules: Iterable[str] | None = None,
-    cache: LintCache | None = None,
-    jobs: int | None = None,
-) -> PackageLintResult:
-    """Analyze every ``*.py`` under ``root`` with flow rules + caching.
-
-    Parameters
-    ----------
-    root:
-        Lint root (default: the installed ``repro`` package).
-    rules:
-        Rule codes to run (default: every registered rule, flow rules
-        included).
-    cache:
-        Optional :class:`~repro.analysis.lintcache.LintCache`; hits skip
-        re-analysis entirely (per-file findings and flow summaries come
-        off disk), misses are analyzed and stored back.
-    jobs:
-        Process-pool width for cold per-file analysis; ``None``/``1``
-        analyzes serially.  Cache hits never spawn workers.
-    """
-    root = (root or package_root()).resolve()
-    selected = set(rules) if rules is not None else set(CODE_RULES)
-    paths = sorted(root.rglob("*.py"))
-    located = [(path, *_locate(path, root)) for path in paths]
-    fileset = hashlib.sha256(
-        "\n".join(rel for _p, rel, _d in located).encode()
-    ).hexdigest()
-
-    analyses: list[FileAnalysis] = []
-    pending: list[tuple[pathlib.Path, str, str]] = []
-    with telemetry.span("analysis.flow.analyze_files"):
-        for path, relpath, _display in located:
-            text = path.read_text()
-            extra = _extra_inputs_hash(path, relpath)
-            fp = LintCache.fingerprint(
-                text, rules=selected, extra=extra, fileset=fileset
-            )
-            entry = cache.load(relpath, fp) if cache is not None else None
-            if entry is not None:
-                analyses.append(entry)
-            else:
-                pending.append((path, relpath, fp))
-        if jobs is not None and jobs > 1 and len(pending) > 1:
-            rule_key = tuple(sorted(selected))
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs
-            ) as pool:
-                payloads = pool.map(
-                    _analyze_worker,
-                    [
-                        (str(path), str(root), rule_key, fp)
-                        for path, _relpath, fp in pending
-                    ],
-                )
-                analyses.extend(_analysis_from_payload(p) for p in payloads)
-        else:
-            for path, _relpath, fp in pending:
-                analyses.append(
-                    analyze_file(path, root=root, rules=selected, fingerprint=fp)
-                )
-    if cache is not None:
-        for analysis in analyses:
-            if not analysis.cached:
-                cache.store(analysis)
-        cache.emit_counters()
-
-    changed = sorted(a.relpath for a in analyses if not a.cached)
-    telemetry.count("analysis.flow.reanalyzed", len(changed))
-
-    diagnostics: list[Diagnostic] = []
-    for analysis in analyses:
-        diagnostics.extend(analysis.diagnostics)
-    summaries = [a.summary for a in analyses if a.summary is not None]
-    graph = build_graph(summaries)
-    flow_selected = selected & set(FLOW_RULES)
-    if flow_selected:
-        diagnostics.extend(run_flow_rules(graph, flow_selected))
-    taint_selected = selected & set(TAINT_RULES)
-    if taint_selected:
-        diagnostics.extend(run_taint_rules(graph, taint_selected))
-    changed_mods = {
-        s.modname for s in summaries if s.relpath in set(changed)
-    }
-    affected = graph.dependents(changed_mods) if changed_mods else set()
-    return PackageLintResult(
-        diagnostics=sorted(diagnostics, key=Diagnostic.sort_key),
-        graph=graph,
-        changed=changed,
-        affected=affected,
-        cache=cache,
-    )
 
 
 def lint_package(
     root: pathlib.Path | None = None,
     *,
     rules: Iterable[str] | None = None,
-    cache: LintCache | None = None,
-    jobs: int | None = None,
 ) -> list[Diagnostic]:
     """Lint every ``*.py`` file under ``root`` (default: ``repro``).
 
     ``rules`` restricts the run to specific codes, as in
-    :func:`lint_file`; ``cache`` and ``jobs`` pass through to
-    :func:`analyze_package`.  Returns all diagnostics — per-module and
-    flow rules both — report-sorted.
+    :func:`lint_file`.  Returns every file's diagnostics, report-sorted.
     """
-    return analyze_package(root, rules=rules, cache=cache, jobs=jobs).diagnostics
-
-
-# The flow and taint rules join the registry so selection, catalogs, and
-# parity tests see one rule set; the engine dispatches them by scope
-# (per-module loops above skip ``FLOW_RULES``/``TAINT_RULES``,
-# ``analyze_package`` runs them over the linked graph).
-CODE_RULES.update(FLOW_RULES)
-CODE_RULES.update(TAINT_RULES)
+    root = (root or package_root()).resolve()
+    diagnostics: list[Diagnostic] = []
+    for path in sorted(root.rglob("*.py")):
+        diagnostics.extend(lint_file(path, root=root, rules=rules))
+    return sorted(diagnostics, key=Diagnostic.sort_key)

@@ -1,26 +1,21 @@
-"""Rendering diagnostics as text, JSON, or SARIF, with severity gating.
+"""Rendering diagnostics as text or JSON, with severity gating.
 
 One reporting layer serves both analyzers because they share the
 :class:`~repro.analysis.diagnostics.Diagnostic` model.  The text format
 is one line per finding plus a summary tally; the JSON format is a
 versioned envelope (schema documented in ``docs/analysis.md``) so CI
-consumers can parse it without scraping the human text; the SARIF 2.1.0
-format (``--sarif``) feeds code-scanning UIs that ingest the standard
-interchange schema.
+consumers can parse it without scraping the human text.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .diagnostics import Diagnostic, RuleInfo, Severity, gate, severity_counts
+from .diagnostics import Diagnostic, Severity, gate, severity_counts
 
 #: Version of the JSON report envelope.
 JSON_SCHEMA_VERSION = 1
-
-#: The SARIF standard version ``render_sarif`` emits.
-SARIF_VERSION = "2.1.0"
 
 
 def summary_line(diagnostics: Iterable[Diagnostic]) -> str:
@@ -69,83 +64,3 @@ def render_json(
     }
     return json.dumps(payload, indent=2)
 
-
-#: Diagnostic severities → SARIF result levels.
-_SARIF_LEVELS = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "note",
-}
-
-
-def render_sarif(
-    diagnostics: Iterable[Diagnostic],
-    *,
-    minimum: Severity = Severity.INFO,
-    rules: Mapping[str, RuleInfo] | None = None,
-) -> str:
-    """SARIF 2.1.0 log of findings at or above ``minimum``.
-
-    One run, one driver (``repro-lint``); each emitted rule code gets a
-    ``tool.driver.rules`` entry (described from ``rules`` when the
-    registry is passed), and each finding becomes a ``results`` entry
-    with ``ruleId``, ``level`` (info maps to SARIF ``note``), message
-    (hint appended), and a physical location when the diagnostic carries
-    a file.
-    """
-    shown = gate(diagnostics, minimum)
-    codes = sorted({d.code for d in shown})
-    rule_entries = []
-    for code in codes:
-        entry: dict = {"id": code}
-        info = (rules or {}).get(code)
-        if info is not None:
-            entry["name"] = info.name
-            entry["shortDescription"] = {"text": info.summary}
-        rule_entries.append(entry)
-    index = {code: i for i, code in enumerate(codes)}
-    results = []
-    for diag in shown:
-        message = diag.message + (f"  [{diag.hint}]" if diag.hint else "")
-        result: dict = {
-            "ruleId": diag.code,
-            "ruleIndex": index[diag.code],
-            "level": _SARIF_LEVELS[diag.severity],
-            "message": {"text": message},
-        }
-        if diag.file is not None:
-            region: dict = {}
-            if diag.line is not None:
-                region["startLine"] = diag.line
-            if diag.column is not None:
-                region["startColumn"] = diag.column + 1
-            location = {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": diag.file},
-                    **({"region": region} if region else {}),
-                }
-            }
-            result["locations"] = [location]
-        if diag.obj is not None:
-            result["properties"] = {"object": diag.obj, "source": diag.source}
-        results.append(result)
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "https://example.invalid/repro",
-                        "rules": rule_entries,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2)

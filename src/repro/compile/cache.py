@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from .. import telemetry
 from ..core.symmetry import cache_key
-from ..determinism import determinism_critical
 from ..core.types import Constraint, SelectionSet, Var, VariableCollection
 from ..qubo.model import QUBO
 from .synthesize import SynthesisResult, synthesize_constraint_qubo
@@ -71,7 +70,6 @@ class Template:
 _Template = Template
 
 
-@determinism_critical("compile.template_key")
 def template_key(
     constraint: Constraint, exact_penalty: bool, strategy: str = "penalty"
 ) -> tuple:

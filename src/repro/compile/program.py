@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.types import Constraint
-from ..determinism import determinism_critical
 from ..qubo.model import QUBO
 from .synthesize import GAP
 
@@ -108,7 +107,6 @@ class CompiledProgram:
         return self.variables + self.ancillas
 
     @property
-    @determinism_critical("compile.program_fingerprint")
     def fingerprint(self) -> str:
         """Content hash of the compiled QUBO, stable under term ordering.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..determinism import determinism_critical
 from .types import Constraint
 
 
@@ -27,7 +26,6 @@ def symmetry_key(constraint: Constraint) -> tuple:
     return (constraint.collection.cardinality, constraint.selection.values)
 
 
-@determinism_critical("compile.constraint_cache_key")
 def cache_key(constraint: Constraint) -> tuple:
     """Finer key under which constraints share a compiled QUBO template.
 

@@ -37,15 +37,12 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Hashable
 
-from ..determinism import determinism_critical
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.env import Env
 
 __all__ = ["LRUCache", "request_fingerprint", "solver_signature"]
 
 
-@determinism_critical("service.request_fingerprint")
 def request_fingerprint(env: "Env", compile_options: dict | None = None) -> str:
     """Canonical content hash of an NchooseK program + compile options.
 
@@ -87,18 +84,18 @@ def _stable_option(value: Any) -> str:
 
     The default ``object.__repr__`` embeds the instance's memory
     address, which would put a process-local identity into the request
-    fingerprint — the exact defect REP604 exists to catch.  Reject such
-    values loudly instead of silently poisoning the cache key.
+    fingerprint, so two runs of the same request would never share a
+    cache entry.  Reject such values loudly instead of silently
+    poisoning the cache key.
     """
     if type(value).__repr__ is object.__repr__:
         raise TypeError(
             f"compile option value {value!r} has no content-based repr; "
             "pass a primitive or a type with a stable __repr__"
         )
-    return repr(value)  # nck: noqa[REP604]
+    return repr(value)
 
 
-@determinism_critical("service.solver_signature")
 def solver_signature(
     backends: Any,
     strategy: Any,

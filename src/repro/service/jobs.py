@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..determinism import determinism_critical
 from ..runtime.backends import resolve_backends
 from ..runtime.strategy import get_strategy
 from .cache import request_fingerprint, solver_signature
@@ -61,7 +60,6 @@ class SolveRequest:
         problem = self.problem
         return problem.build_env() if hasattr(problem, "build_env") else problem
 
-    @determinism_critical("service.job_fingerprint")
     def fingerprint(self) -> str:
         """Canonical program-cache key: constraints + compile options."""
         return request_fingerprint(self.env(), self.compile_kwargs)

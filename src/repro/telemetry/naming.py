@@ -41,14 +41,7 @@ KNOWN_SPAN_PREFIXES: frozenset[str] = frozenset(
 #: ``docs/service.md``), and the encoding portfolio's candidate/selection
 #: counters (``compile.encoding.*`` — per-strategy candidate counts,
 #: verification outcomes, and selection results; see
-#: ``docs/encodings.md``), the dataflow lint engine
-#: (``analysis.flow.*`` — spans for per-file analysis, call-graph
-#: build, context propagation, and each REP5xx rule, plus
-#: cache-hit/miss/invalidation and reanalyzed-file counters; see
-#: ``docs/analysis.md``), and the determinism-taint engine
-#: (``analysis.taint.*`` — the sink-reachability span plus
-#: declared-sink/reachable-function/finding counters and per-REP6xx
-#: rule spans; see ``docs/analysis.md``).  REP301 validates prefixes;
+#: ``docs/encodings.md``).  REP301 validates prefixes;
 #: this registry is the documented home for the families so dashboards
 #: and ``docs/observability.md`` stay in sync.
 KNOWN_NAME_FAMILIES: frozenset[str] = frozenset(
@@ -60,8 +53,6 @@ KNOWN_NAME_FAMILIES: frozenset[str] = frozenset(
         "service.cache",
         "service.tenant",
         "compile.encoding",
-        "analysis.flow",
-        "analysis.taint",
     }
 )
 

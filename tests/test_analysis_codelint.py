@@ -250,59 +250,6 @@ class TestSuppression:
         )
         assert codes(lint_file(path, root=tmp_path)) == ["REP203"]
 
-    def test_noqa_file_with_code_covers_the_whole_file(self, tmp_path):
-        path = write(
-            tmp_path,
-            "m.py",
-            "# nck: noqa-file[REP203]\n"
-            "def f(items=[]):\n    return items\n"
-            "def g(extra={}):\n    return extra\n",
-        )
-        assert lint_file(path, root=tmp_path) == []
-
-    def test_bare_noqa_file_suppresses_everything(self, tmp_path):
-        path = write(
-            tmp_path,
-            "m.py",
-            "# nck: noqa-file\n"
-            "def f(items=[]):\n"
-            "    try:\n        return items\n    except:\n        pass\n",
-        )
-        assert lint_file(path, root=tmp_path) == []
-
-    def test_noqa_file_only_honored_in_the_header_window(self, tmp_path):
-        path = write(
-            tmp_path,
-            "m.py",
-            "x = 1\n" * 5 + "# nck: noqa-file[REP203]\ndef f(items=[]):\n"
-            "    return items\n",
-        )
-        assert codes(lint_file(path, root=tmp_path)) == ["REP203"]
-
-    def test_noqa_file_for_other_codes_leaves_findings(self, tmp_path):
-        # File-level names one code; a per-line noqa still covers another.
-        path = write(
-            tmp_path,
-            "m.py",
-            "# nck: noqa-file[REP202]\n"
-            "def f(items=[]):\n    return items\n"
-            "def g(extra={}):  # nck: noqa[REP203]\n    return extra\n",
-        )
-        (diag,) = lint_file(path, root=tmp_path)
-        assert diag.code == "REP203" and diag.obj == "f"
-
-    def test_noqa_file_does_not_parse_as_bare_noqa(self, tmp_path):
-        # The noqa-file marker on a flagged line must not act as a
-        # per-line suppress-everything comment for unrelated codes.
-        path = write(
-            tmp_path,
-            "m.py",
-            "def f(items=[]):  # nck: noqa-file[REP202]\n    return items\n",
-        )
-        # Line 1 is inside the header window, so the file-level form is
-        # honored for REP202 only; REP203 on the same line still fires.
-        assert codes(lint_file(path, root=tmp_path)) == ["REP203"]
-
 
 class TestReporting:
     def fixture_diags(self, tmp_path):
@@ -350,27 +297,7 @@ class TestSelfLint:
         assert set(CODE_RULES) == {
             "REP101", "REP102", "REP201", "REP202", "REP203", "REP301",
             "REP302", "REP401",
-            "REP501", "REP502", "REP503", "REP504", "REP505",
-            "REP601", "REP602", "REP603", "REP604", "REP605",
         }
-
-    def test_flow_rules_join_the_shared_registry(self):
-        from repro.analysis.flowrules import FLOW_RULES
-
-        assert set(FLOW_RULES) == {
-            "REP501", "REP502", "REP503", "REP504", "REP505",
-        }
-        for code, info in FLOW_RULES.items():
-            assert CODE_RULES[code] is info
-
-    def test_taint_rules_join_the_shared_registry(self):
-        from repro.analysis.taintrules import TAINT_RULES
-
-        assert set(TAINT_RULES) == {
-            "REP601", "REP602", "REP603", "REP604", "REP605",
-        }
-        for code, info in TAINT_RULES.items():
-            assert CODE_RULES[code] is info
 
     def test_scoped_module_lists_point_at_real_files(self):
         from repro.analysis.codelint import package_root

@@ -214,6 +214,16 @@ class TestFingerprints:
             env, {"hard_scale": 9.0}
         )
 
+    def test_identity_repr_option_is_rejected(self):
+        # object()'s default repr embeds its address, which would make
+        # the key differ between runs; the guard refuses such values.
+        with pytest.raises(TypeError, match="content-based repr"):
+            request_fingerprint(two_var_env(), {"opt": object()})
+
+    def test_primitive_option_gives_the_same_key_twice(self):
+        first = request_fingerprint(two_var_env(), {"opt": 3})
+        assert first == request_fingerprint(two_var_env(), {"opt": 3})
+
     def test_program_fingerprint_matches_certify(self):
         program = two_var_env().to_qubo()
         assert program.fingerprint == qubo_fingerprint(program.qubo)
