@@ -84,7 +84,7 @@ def clique_embedding(
     emb = Embedding(chains=chains)
     emb.validate(source, target)
     if prune:
-        emb = _prune(emb, source, target)
+        emb = _prune(emb, source, adjacency)
     return emb
 
 
@@ -147,16 +147,16 @@ def _chimera_lines(target: nx.Graph):
 # ---------------------------------------------------------------------------
 
 
-def _prune(emb: Embedding, source: nx.Graph, target: nx.Graph) -> Embedding:
+def _prune(emb: Embedding, source: nx.Graph, adjacency: dict[int, set[int]]) -> Embedding:
     """Drop chain-end qubits while the embedding stays valid.
 
     Each chain is treated as a set; a qubit may be removed when (a) the
     chain's induced subgraph stays connected and (b) every incident
-    source edge still has an inter-chain coupler.  Ends are retried until
-    a full pass removes nothing.
+    source edge still has an inter-chain coupler (``adjacency`` maps each
+    target qubit to its neighbours).  Ends are retried until a full pass
+    removes nothing.
     """
     chains = {v: set(c) for v, c in emb.chains.items()}
-    adjacency = {q: set(target.neighbors(q)) for q in target.nodes}
 
     def edge_ok(u, v) -> bool:
         cv = chains[v]
@@ -176,7 +176,7 @@ def _prune(emb: Embedding, source: nx.Graph, target: nx.Graph) -> Embedding:
                 if inside > 1:
                     continue
                 chain.discard(q)
-                if all(edge_ok(var, u) and edge_ok(u, var) for u in source.neighbors(var)):
+                if all(edge_ok(var, u) for u in source.neighbors(var)):
                     changed = True
                 else:
                     chain.add(q)

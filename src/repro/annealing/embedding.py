@@ -12,9 +12,18 @@ behind D-Wave's minorminer): variables are routed one at a time with
 shortest paths through the hardware graph, where traversing a qubit
 already claimed by other chains is allowed but exponentially penalized;
 improvement sweeps then re-route each variable against the others until no
-qubit is shared.  Path search runs on :func:`scipy.sparse.csgraph.dijkstra`
-over a CSR adjacency rebuilt with current usage penalties, keeping the hot
-loop out of Python.
+qubit is shared.  An attempt ends once two sweeps in a row leave the
+overuse Σ max(usage − 1, 0) no lower than its best so far; on Figure 7
+embedding streams no attempt that stalled this way went on to succeed.
+Path search runs on :func:`scipy.sparse.csgraph.dijkstra` over a CSR adjacency
+reweighted with current usage penalties, keeping the hot loop out of Python.
+
+Routing starts in a *window*, the first ``WINDOW_FACTOR · |V|`` qubits in
+breadth-first order from a central qubit (the tiling idea behind D-Wave's
+``TilingComposite``), and the window doubles after ``max_attempts``
+failures, up to the whole graph.  An attempt makes at most ``(3 +
+max_sweeps) · |V|`` routes, so a call makes at most ``max_attempts`` times
+that per window.
 
 The resulting physical-qubit counts — the paper's "number of qubits used
 on the D-Wave" axis in Figure 7 — grow with problem connectivity exactly
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .. import telemetry
 from ..core.types import NckError
@@ -87,6 +96,10 @@ class Embedding:
 #: routers; the template is immediate).
 DENSE_DEGREE_THRESHOLD = 6.0
 
+#: Qubits per source variable in the router's first window.  Chosen on
+#: Figure 7 embedding streams: 16 stalls on some, 64 is slower (DESIGN.md §7).
+WINDOW_FACTOR = 32
+
 
 def find_embedding(
     source: nx.Graph,
@@ -104,6 +117,13 @@ def find_embedding(
     sources on Pegasus/Chimera targets).  Whichever is tried first, the
     other serves as fallback.
 
+    The router makes ``max_attempts`` attempts in each breadth-first
+    window of ``WINDOW_FACTOR · |V|``, twice that, … qubits, then in the
+    whole target.  An attempt ends when overlaps are gone, after
+    ``max_sweeps`` sweeps, or when two sweeps in a row leave the overuse
+    no lower than its best so far; it makes at most ``(3 + max_sweeps) ·
+    |V|`` routes.  Equal ``rng`` states give identical chains.
+
     Parameters
     ----------
     source:
@@ -113,7 +133,7 @@ def find_embedding(
     rng:
         Randomness for routing order across restarts.
     max_attempts:
-        Router restart budget.
+        Router restart budget per window.
     max_sweeps:
         Router overlap-resolution sweeps per attempt.
     """
@@ -128,29 +148,32 @@ def find_embedding(
 
     mean_degree = 2.0 * source.number_of_edges() / source.number_of_nodes()
     dense = mean_degree > DENSE_DEGREE_THRESHOLD
+    attempts = 0
 
-    def try_router() -> Embedding:
-        router = _Router(target)
+    def try_router() -> tuple[Embedding, int]:
+        nonlocal attempts
         last_error: Exception | None = None
-        for _attempt in range(max_attempts):
-            telemetry.count("anneal.embed.attempts")
-            try:
-                chains = router.embed(source, rng, max_sweeps)
-                emb = Embedding(chains=chains)
-                emb.validate(source, target)
-                return emb
-            except EmbeddingError as exc:
-                telemetry.count("anneal.embed.restarts")
-                last_error = exc
-        raise EmbeddingError(
-            f"no embedding found in {max_attempts} attempts: {last_error}"
-        )
+        size = WINDOW_FACTOR * source.number_of_nodes()
+        for router in _Router.of(target).windows(size):
+            for _attempt in range(max_attempts):
+                attempts += 1
+                telemetry.count("anneal.embed.attempts")
+                try:
+                    emb = Embedding(chains=router.embed(source, rng, max_sweeps))
+                    emb.validate(source, target)
+                    return emb, router.n
+                except EmbeddingError as exc:
+                    telemetry.count("anneal.embed.restarts")
+                    last_error = exc
+        raise EmbeddingError(f"no embedding in {max_attempts} attempts per window: {last_error}")
 
-    def try_clique() -> Embedding:
+    def try_clique() -> tuple[Embedding, int]:
+        nonlocal attempts
         from .clique_embedding import clique_embedding
 
+        attempts += 1
         telemetry.count("anneal.embed.attempts")
-        return clique_embedding(source, target)
+        return clique_embedding(source, target), target.number_of_nodes()
 
     first, second = (try_clique, try_router) if dense else (try_router, try_clique)
     with telemetry.span(
@@ -160,12 +183,13 @@ def find_embedding(
         strategy="clique-first" if dense else "router-first",
     ) as sp:
         try:
-            embedding = first()
+            embedding, window_qubits = first()
         except EmbeddingError as primary:
             try:
-                embedding = second()
+                embedding, window_qubits = second()
             except EmbeddingError as fallback:
                 telemetry.count("anneal.embed.failures")
+                sp.set(attempts=attempts)
                 raise EmbeddingError(
                     f"both strategies failed: {primary}; fallback: {fallback}"
                 ) from fallback
@@ -174,12 +198,14 @@ def find_embedding(
         sp.set(
             physical_qubits=embedding.num_physical_qubits,
             max_chain_length=embedding.max_chain_length,
+            attempts=attempts,
+            window_qubits=window_qubits,
         )
         return embedding
 
 
 class _Router:
-    """CMR routing state over one hardware graph (reusable across calls)."""
+    """CMR routing state over one hardware graph or a window of it."""
 
     #: Base multiplicative penalty per existing chain on a qubit.  Paths
     #: may cross used qubits, but each crossing costs this factor more;
@@ -187,30 +213,40 @@ class _Router:
     #: convergence (like minorminer's inner/outer loop).
     USAGE_PENALTY = 16.0
 
-    def __init__(self, target: nx.Graph) -> None:
-        self.qubits = sorted(target.nodes)
-        self.index = {q: i for i, q in enumerate(self.qubits)}
-        self.n = len(self.qubits)
-        # Directed edge arrays (both directions), weighted by head usage.
-        tails, heads = [], []
-        for a, b in target.edges:
-            ia, ib = self.index[a], self.index[b]
-            tails += [ia, ib]
-            heads += [ib, ia]
-        tails = np.array(tails, dtype=np.int32)
-        heads = np.array(heads, dtype=np.int32)
-        # Build the CSR structure once; per-route weight updates rewrite
-        # g.data in place.  Tag each edge with its index to learn the
-        # permutation the CSR constructor applies.
-        tag = csr_matrix(
-            (np.arange(1, tails.size + 1, dtype=np.int64), (tails, heads)),
-            shape=(self.n, self.n),
-        )
-        self._edge_perm = (tag.data - 1).astype(np.int64)
-        self._graph = csr_matrix(
-            (np.ones(tails.size), (tails, heads)), shape=(self.n, self.n)
-        )
-        self._heads_in_data_order = heads[self._edge_perm]
+    def __init__(self, graph: csr_matrix, qubits: list[int]) -> None:
+        # Symmetric adjacency over local indices; _route rewrites its
+        # weights in place (data[k] weighs the edge into indices[k]).
+        self._graph = graph
+        self.qubits = qubits
+        self.n = len(qubits)
+
+    @classmethod
+    def of(cls, target: nx.Graph) -> _Router:
+        """The router over the whole of ``target``."""
+        qubits = sorted(target.nodes)
+        index = {q: i for i, q in enumerate(qubits)}
+        edges = np.array([(index[a], index[b]) for a, b in target.edges]).reshape(-1, 2).T
+        tails, heads = np.concatenate([edges, edges[::-1]], axis=1)
+        n = len(qubits)
+        return cls(csr_matrix((np.ones(tails.size), (tails, heads)), shape=(n, n)), qubits)
+
+    def windows(self, size: int):
+        """Routers over the first ``size``, ``2·size``, … qubits in
+        breadth-first order from a central qubit, then this router."""
+        # Double-sweep BFS: the middle of a longest breadth-first path
+        # from a farthest qubit sits near the centre of the lattice.
+        start = int(np.diff(self._graph.indptr).argmax())
+        far = breadth_first_order(self._graph, start, return_predecessors=False)[-1]
+        order, preds = breadth_first_order(self._graph, far)
+        path = [order[-1]]
+        while preds[path[-1]] >= 0:
+            path.append(preds[path[-1]])
+        order = breadth_first_order(self._graph, path[len(path) // 2], return_predecessors=False)
+        while size < order.size:
+            idx = np.sort(order[:size])
+            yield _Router(self._graph[idx][:, idx], [self.qubits[i] for i in idx])
+            size *= 2
+        yield self
 
     # ------------------------------------------------------------------
     def embed(
@@ -234,10 +270,12 @@ class _Router:
         # fresh random order each sweep with an escalating usage penalty.
         # Re-routing all variables (not just contended ones) lets the
         # whole layout shift — congested regions cannot hide behind a
-        # wall of "innocent" chains.
+        # wall of "innocent" chains.  Two sweeps in a row that leave the
+        # overuse no lower than its best so far end the attempt.
         escalation = 1.0
+        best, stalled = int(np.maximum(usage - 1, 0).sum()), 0
         for _sweep in range(max_sweeps):
-            if usage.max() <= 1:
+            if best == 0 or stalled == 2:
                 break
             for i in rng.permutation(len(variables)):
                 var = variables[i]
@@ -245,28 +283,8 @@ class _Router:
                 chains[var] = self._route(source, var, chains, usage, rng, escalation)
                 usage[list(chains[var])] += 1
             escalation = min(escalation * 2.0, 2.0**8)
-
-        # Repair phase: sweeps leave a few stubbornly shared qubits on
-        # dense problems.  Tear out every chain through the worst qubit
-        # and re-route each through *free* qubits only (long detours are
-        # fine — validity over chain length).
-        for _round in range(4 * len(variables)):
-            if usage.max() <= 1:
-                break
-            worst = int(usage.argmax())
-            victims = [v for v in variables if worst in chains[v]]
-            for v in victims:
-                usage[list(chains[v])] -= 1
-            for i in rng.permutation(len(victims)):
-                var = victims[i]
-                try:
-                    chain = self._route(
-                        source, var, chains, usage, rng, escalation, free_only=True
-                    )
-                except EmbeddingError:
-                    chain = self._route(source, var, chains, usage, rng, escalation)
-                chains[var] = chain
-                usage[list(chain)] += 1
+            overuse = int(np.maximum(usage - 1, 0).sum())
+            best, stalled = (overuse, 0) if overuse < best else (best, stalled + 1)
 
         if usage.max() > 1:
             raise EmbeddingError("chain overlaps remain after improvement sweeps")
@@ -287,9 +305,6 @@ class _Router:
         }
 
     # ------------------------------------------------------------------
-    #: Effective-infinity edge weight for free-only routing.
-    BLOCKED = 1e15
-
     def _route(
         self,
         source: nx.Graph,
@@ -298,13 +313,10 @@ class _Router:
         usage: np.ndarray,
         rng: np.random.Generator,
         escalation: float,
-        free_only: bool = False,
     ) -> set[int]:
         placed = [u for u in source.neighbors(var) if u in chains]
         penalty_factor = self.USAGE_PENALTY * escalation
         penalties = penalty_factor ** np.minimum(usage, 3).astype(float)
-        if free_only:
-            penalties = np.where(usage > 0, self.BLOCKED, 1.0)
 
         if not placed:
             # Isolated (or first) variable: any cheapest qubit will do.
@@ -315,7 +327,7 @@ class _Router:
         # qubit of that neighbor's chain.  Edge weight = penalty of the
         # head qubit, so a path's cost sums the penalties of the qubits it
         # would claim (source-chain qubits cost nothing).
-        self._graph.data = penalties[self._heads_in_data_order]
+        self._graph.data = penalties[self._graph.indices]
         dists = np.empty((len(placed), self.n))
         preds = np.empty((len(placed), self.n), dtype=np.int32)
         in_chain = np.zeros((len(placed), self.n), dtype=bool)
@@ -340,9 +352,6 @@ class _Router:
         total = dists.sum(axis=0) - (len(placed) - 1) * penalties
         total[~np.isfinite(dists).all(axis=0)] = np.inf
         total[in_chain.any(axis=0)] = np.inf
-        if free_only:
-            # A path through any blocked qubit is no path at all.
-            total[total >= self.BLOCKED / 2.0] = np.inf
         if not np.isfinite(total).any():
             raise EmbeddingError(f"variable {var} is unreachable from its neighbors")
         root = int(total.argmin())
@@ -366,17 +375,8 @@ def _bfs_order(source: nx.Graph, rng: np.random.Generator) -> list:
     nodes = list(source.nodes)
     for start_i in rng.permutation(len(nodes)):
         start = nodes[start_i]
-        if start in seen:
-            continue
-        from collections import deque
-
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for nbr in source.neighbors(node):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
+        if start not in seen:
+            component = [start] + [v for _u, v in nx.bfs_edges(source, start)]
+            seen.update(component)
+            order += component
     return order

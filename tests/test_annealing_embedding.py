@@ -69,6 +69,53 @@ class TestFindEmbedding:
         emb.validate(g, pegasus4)
 
 
+class TestRouterBounds:
+    def test_failed_call_stops_within_route_bound(self, monkeypatch):
+        """A call that cannot embed raises after at most (1 + max_sweeps)·|V|
+        routes per attempt: a stalled attempt ends instead of sweeping on."""
+        from repro.annealing import embedding
+
+        g = nx.gnp_random_graph(14, 0.3, seed=0)
+        g = nx.relabel_nodes(g, {i: f"n{i}" for i in g.nodes})
+        calls = 0
+        route = embedding._Router._route
+
+        def counting_route(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return route(self, *args, **kwargs)
+
+        monkeypatch.setattr(embedding._Router, "_route", counting_route)
+        with pytest.raises(EmbeddingError):
+            find_embedding(g, chimera_graph(3), np.random.default_rng(0), max_attempts=1)
+        assert 0 < calls <= (1 + 12) * 14
+
+    def test_equal_seeds_give_identical_chains(self):
+        """Seeded embeddings repeat exactly, and this one routes inside a
+        window smaller than the chip."""
+        from repro import telemetry
+        from repro.annealing.device import AnnealingDeviceProfile
+        from repro.problems import MapColoring, vertex_scaling_graph
+
+        program = MapColoring(vertex_scaling_graph(3), 3).build_env().to_qubo()
+        g = nx.Graph()
+        g.add_nodes_from(program.qubo.variables)
+        g.add_edges_from(program.qubo.quadratic.keys())
+        target = AnnealingDeviceProfile.advantage41().topology
+        rec = telemetry.enable()
+        try:
+            first = find_embedding(g, target, np.random.default_rng(5))
+            second = find_embedding(g, target, np.random.default_rng(5))
+        finally:
+            telemetry.disable()
+        assert first.chains == second.chains
+        first.validate(g, target)
+        spans = [s for s in rec.spans if s.name == "anneal.embed"]
+        assert [s.attributes["strategy"] for s in spans] == ["router-first"] * 2
+        assert all(s.attributes["attempts"] >= 1 for s in spans)
+        assert all(s.attributes["window_qubits"] < target.number_of_nodes() for s in spans)
+
+
 class TestEmbeddingProperties:
     def test_counts(self):
         emb = Embedding(chains={"a": (0, 1), "b": (2,)})
