@@ -6,7 +6,7 @@ from .device import CircuitDevice, CircuitDeviceProfile
 from .gates import BASIS_GATES, Gate, decompose_to_basis, gate_matrix
 from .noise import CircuitNoiseModel, NoiselessCircuitModel
 from .mixers import TransverseFieldMixer, XYRingMixer, get_mixer
-from .qaoa import QAOA, QAOAResult, cost_diagonal, qaoa_circuit
+from .qaoa import QAOA, QAOAResult, cost_diagonal, qaoa_circuit, qaoa_probabilities
 from .statevector import MAX_SIMULATED_QUBITS, StatevectorSimulator
 from .timing import CircuitTimingModel
 from .transpiler import Transpiler, TranspileResult
@@ -35,6 +35,7 @@ __all__ = [
     "heavy_hex_coupling",
     "linear_coupling",
     "qaoa_circuit",
+    "qaoa_probabilities",
     "XYRingMixer",
     "get_mixer",
 ]

@@ -18,6 +18,11 @@ Implemented mixers:
 The XY evolution is compiled per edge with the standard
 ``e^{-iβ(XX+YY)/2}`` two-qubit block (a partial iSWAP), decomposed into
 RZ/SX/CX-compatible gates.
+
+Each mixer has two forms.  ``initial_state_circuit`` and ``append_layer``
+emit gates, for the transpiler and the gate-level reference simulator;
+``initial_state`` and ``evolve`` act on a flat statevector directly, for
+QAOA's simulation kernel (:func:`repro.circuit.qaoa.qaoa_probabilities`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import Circuit
+from .statevector import StatevectorSimulator
+
+#: Qubits per block of :meth:`TransverseFieldMixer.evolve` (16×16 matrices).
+_RX_BLOCK = 4
 
 
 class TransverseFieldMixer:
@@ -43,6 +54,33 @@ class TransverseFieldMixer:
     def append_layer(self, circ: Circuit, beta: float) -> None:
         for q in range(circ.num_qubits):
             circ.add("rx", q, 2.0 * beta)
+
+    def initial_state(self, n: int) -> np.ndarray:
+        """The flat statevector :meth:`initial_state_circuit` prepares."""
+        return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+
+    def evolve(self, psi: np.ndarray, beta: float) -> np.ndarray:
+        """Apply one layer, ``RX(2β)`` on every qubit, to the flat state ``psi``.
+
+        ``RX(2β)^{⊗n}`` factors into blocks of up to :data:`_RX_BLOCK`
+        neighbouring qubits, each one matrix product with its Kronecker
+        power.  On 12–16 qubits that is 2–4× faster than one butterfly
+        per qubit, whose small inner strides numpy loops over slowly.
+        """
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        n = psi.size.bit_length() - 1
+        power = [np.array([[c, s], [s, c]])]  # power[k - 1] = RX(2β)^{⊗k}, symmetric
+        while len(power) < min(_RX_BLOCK, n):
+            power.append(np.kron(power[-1], power[0]))
+        for q in range(0, n, _RX_BLOCK):
+            k = min(_RX_BLOCK, n - q)
+            rest = n - q - k  # qubits below the block (qubit 0 = MSB)
+            if rest:
+                psi = np.matmul(power[k - 1], psi.reshape(1 << q, 1 << k, 1 << rest))
+            else:
+                psi = psi.reshape(-1, 1 << k) @ power[k - 1]
+            psi = psi.reshape(-1)
+        return psi
 
 
 @dataclass
@@ -73,6 +111,10 @@ class XYRingMixer:
             circ.add("x", q)
         return circ
 
+    def initial_state(self, n: int) -> np.ndarray:
+        """The flat statevector :meth:`initial_state_circuit` prepares."""
+        return StatevectorSimulator().run(self.initial_state_circuit(n))
+
     def append_layer(self, circ: Circuit, beta: float) -> None:
         """One ring pass of ``e^{-iβ(X_iX_j + Y_iY_j)/2}`` blocks.
 
@@ -88,6 +130,16 @@ class XYRingMixer:
             edges.append((n - 1, 0))
         for a, b in edges:
             _append_xx_plus_yy(circ, a, b, beta)
+
+    def evolve(self, psi: np.ndarray, beta: float) -> np.ndarray:
+        """Apply one :meth:`append_layer` layer to the flat state ``psi``.
+
+        The XY blocks are not diagonal in any fixed basis, so this runs
+        the layer's gates through the statevector simulator.
+        """
+        circ = Circuit(psi.size.bit_length() - 1)
+        self.append_layer(circ, beta)
+        return StatevectorSimulator().run(circ, initial_state=psi)
 
 
 def _append_xx_plus_yy(circ: Circuit, a: int, b: int, beta: float) -> None:

@@ -60,32 +60,33 @@ class CircuitNoiseModel:
         """Probability a shot survives un-depolarized.
 
         Product of per-gate success probabilities, with each gate's error
-        scaled by the mean quality multiplier of its qubits.
+        scaled by the mean quality multiplier of its qubits.  The logs
+        are summed left to right (``cumsum``, not pairwise ``sum``), so
+        the result is the same float a per-gate loop accumulates.
         """
-        log_f = 0.0
-        for gate in circuit.gates:
-            base = self.p1 if gate.num_qubits == 1 else self.p2
-            mult = float(
-                np.mean([self.qubit_quality[q % self.num_qubits] for q in gate.qubits])
-            )
-            p_err = min(base * mult, 0.999)
-            log_f += np.log1p(-p_err)
-        return float(np.exp(log_f))
+        if not circuit.gates:
+            return 1.0
+        ends = np.array([(g.qubits[0], g.qubits[-1]) for g in circuit.gates])
+        two_qubit = ends[:, 0] != ends[:, 1]  # a gate's qubits are distinct
+        quality = self.qubit_quality[ends % self.num_qubits]
+        # The mean of a one-qubit gate's (q, q) is q exactly.
+        mult = (quality[:, 0] + quality[:, 1]) / 2.0
+        p_err = np.minimum(np.where(two_qubit, self.p2, self.p1) * mult, 0.999)
+        return float(np.exp(np.cumsum(np.log1p(-p_err))[-1]))
 
     def apply_to_counts(
         self,
         counts: dict[int, int],
         num_qubits: int,
-        circuit: Circuit,
+        fidelity: float,
         rng: np.random.Generator,
     ) -> dict[int, int]:
         """Noise-corrupt a noiseless shot histogram.
 
         Each shot depolarizes (uniform random bitstring) with probability
-        ``1 - fidelity``; surviving shots suffer independent readout bit
-        flips.
+        ``1 - fidelity`` (:meth:`circuit_fidelity` of the transpiled
+        circuit); surviving shots suffer independent readout bit flips.
         """
-        fidelity = self.circuit_fidelity(circuit)
         out: dict[int, int] = {}
         size = 1 << num_qubits
         for state, c in counts.items():
@@ -118,5 +119,5 @@ class NoiselessCircuitModel:
     def circuit_fidelity(self, circuit: Circuit) -> float:
         return 1.0
 
-    def apply_to_counts(self, counts, num_qubits, circuit, rng):
+    def apply_to_counts(self, counts, num_qubits, fidelity, rng):
         return dict(counts)

@@ -18,7 +18,11 @@ the mixer to ``RX`` — the circuits whose transpiled depths Figures 9 and
 The expectation is evaluated exactly from the statevector (the classical
 optimizer's inner loop), while final answers are drawn with shot sampling
 through the device noise model, matching how Qiskit's QAOA drives real
-hardware.
+hardware.  Both come from :func:`qaoa_probabilities`, which simulates the
+ansatz without building it: ``U_C`` is diagonal in the computational
+basis, so it is one elementwise multiply by ``exp(-iγ·diag H_C)``, and the
+mixer evolves the flat state itself.  :func:`qaoa_circuit` builds the
+same ansatz gate by gate, for the transpiler and the reference simulator.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from scipy.optimize import minimize
 from .. import telemetry
 from ..qubo.ising import IsingModel
 from .circuit import Circuit
-from .statevector import StatevectorSimulator
+from .mixers import TransverseFieldMixer
+from .statevector import draw_counts
 
 
 @dataclass
@@ -47,6 +52,8 @@ class QAOAResult:
     num_circuit_evaluations: int
     variables: tuple[str, ...]
     counts: dict[int, int] = field(default_factory=dict)
+    #: ``cost_diagonal(model, variables)``, so callers need not recompute it.
+    diagonal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def qaoa_circuit(
@@ -66,8 +73,6 @@ def qaoa_circuit(
     transverse field; see :mod:`repro.circuit.mixers` for the
     constraint-preserving alternatives of the paper's Section IX).
     """
-    from .mixers import TransverseFieldMixer
-
     mixer = mixer or TransverseFieldMixer()
     order = tuple(variables) if variables is not None else model.variables
     index = {v: i for i, v in enumerate(order)}
@@ -104,6 +109,31 @@ def cost_diagonal(model: IsingModel, variables: tuple[str, ...]) -> np.ndarray:
     return spins @ h + np.einsum("si,ij,sj->s", spins, J, spins) + model.offset
 
 
+def qaoa_probabilities(
+    diagonal: np.ndarray,
+    gammas: np.ndarray,
+    betas: np.ndarray,
+    mixer=None,
+) -> np.ndarray:
+    """Measurement probabilities of the p-layer QAOA state.
+
+    ``diagonal`` is :func:`cost_diagonal` of the model.  Each layer
+    multiplies the state by ``exp(-iγ·diagonal)`` — the RZ/RZZ phase
+    separator of :func:`qaoa_circuit` up to a global phase — and then
+    calls ``mixer.evolve``.  The result equals
+    ``StatevectorSimulator().probabilities(qaoa_circuit(...))`` to
+    rounding, without building a circuit.
+    """
+    mixer = mixer or TransverseFieldMixer()
+    if len(gammas) != len(betas):
+        raise ValueError("gammas and betas must have equal length (layers)")
+    psi = mixer.initial_state(diagonal.size.bit_length() - 1)
+    for gamma, beta in zip(gammas, betas):
+        psi *= np.exp(-1j * gamma * diagonal)
+        psi = mixer.evolve(psi, beta)
+    return psi.real**2 + psi.imag**2
+
+
 class QAOA:
     """QAOA driver: ansatz + COBYLA parameter optimization.
 
@@ -120,7 +150,6 @@ class QAOA:
         self,
         layers: int = 1,
         maxiter: int = 30,
-        simulator: StatevectorSimulator | None = None,
         mixer=None,
         multistart: int = 1,
     ) -> None:
@@ -130,7 +159,6 @@ class QAOA:
             raise ValueError("multistart needs at least one start")
         self.layers = layers
         self.maxiter = maxiter
-        self.simulator = simulator or StatevectorSimulator()
         self.mixer = mixer  # None = transverse field (standard QAOA)
         # Restarts of the classical optimizer from fresh random (γ, β);
         # the start with the lowest optimized expectation wins.  COBYLA
@@ -144,7 +172,7 @@ class QAOA:
         rng: np.random.Generator | None = None,
         callback: Callable[[np.ndarray, float], None] | None = None,
     ) -> QAOAResult:
-        """Optimize (γ, β) and sample the optimal circuit.
+        """Optimize (γ, β) and sample the optimal state.
 
         Returns the lowest-energy bitstring among the final 4000-shot
         sample — the paper's "a single result is returned" semantics is
@@ -156,18 +184,16 @@ class QAOA:
         evaluations = 0
         statevector_seconds = 0.0
 
+        def probabilities(params: np.ndarray) -> np.ndarray:
+            return qaoa_probabilities(
+                diagonal, params[: self.layers], params[self.layers :], self.mixer
+            )
+
         def objective(params: np.ndarray) -> float:
             nonlocal evaluations, statevector_seconds
             evaluations += 1
-            circ = qaoa_circuit(
-                model,
-                params[: self.layers],
-                params[self.layers :],
-                variables,
-                mixer=self.mixer,
-            )
             t0 = time.perf_counter()
-            value = self.simulator.expectation_diagonal(circ, diagonal)
+            value = float(probabilities(params) @ diagonal)
             statevector_seconds += time.perf_counter() - t0
             if callback is not None:
                 callback(params, value)
@@ -198,14 +224,7 @@ class QAOA:
             res = best_res
 
             best_params = res.x
-            circ = qaoa_circuit(
-                model,
-                best_params[: self.layers],
-                best_params[self.layers :],
-                variables,
-                mixer=self.mixer,
-            )
-            counts = self.simulator.sample_counts(circ, shots=4000, rng=rng)
+            counts = draw_counts(probabilities(best_params), 4000, rng)
             telemetry.count("circuit.qaoa.iterations", evaluations)
             telemetry.observe("circuit.qaoa.statevector_seconds", statevector_seconds)
             tspan.set(iterations=evaluations, statevector_seconds=statevector_seconds)
@@ -222,4 +241,5 @@ class QAOA:
             num_circuit_evaluations=evaluations,
             variables=variables,
             counts=counts,
+            diagonal=diagonal,
         )

@@ -3,10 +3,13 @@
 The state of ``n`` qubits is a complex array of shape ``(2,) * n`` with
 axis ``i`` holding qubit ``i`` (qubit 0 = most significant bit of the
 flattened index).  Gates apply via :func:`numpy.tensordot` against the
-target axes — one BLAS call per gate, no Python loop over amplitudes —
-which comfortably simulates the ≤ 20-qubit problems whose QAOA behaviour
-we verify exactly; larger circuits go through the structural execution
-model in :mod:`repro.circuit.device`.
+target axes — one BLAS call per gate, no Python loop over amplitudes.
+
+This is the gate-level reference: it runs any circuit the package
+builds.  QAOA's optimizer loop uses it only for the XY-ring mixer's
+layer; :func:`repro.circuit.qaoa.qaoa_probabilities` applies the phase
+separator as one diagonal multiply, and the tests hold the two paths to
+agreement within 1e-12.
 """
 
 from __future__ import annotations
@@ -51,24 +54,11 @@ class StatevectorSimulator:
         amps = self.run(circuit)
         return (amps.real**2 + amps.imag**2).astype(float)
 
-    def sample_counts(
-        self,
-        circuit: Circuit,
-        shots: int,
-        rng: np.random.Generator | None = None,
-    ) -> dict[int, int]:
-        """Multinomial measurement sampling; keys are basis-state indices."""
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
-        probs = self.probabilities(circuit)
-        probs = probs / probs.sum()  # guard against rounding drift
-        counts = rng.multinomial(shots, probs)
-        return {int(i): int(c) for i, c in enumerate(counts) if c}
-
     def expectation_diagonal(self, circuit: Circuit, diagonal: np.ndarray) -> float:
         """⟨ψ|D|ψ⟩ for a diagonal observable given as its diagonal vector.
 
-        This evaluates QAOA cost expectations: the Ising Hamiltonian is
-        diagonal in the computational basis.
+        The gate-level reference for QAOA cost expectations: the Ising
+        Hamiltonian is diagonal in the computational basis.
         """
         probs = self.probabilities(circuit)
         diagonal = np.asarray(diagonal, dtype=float)
@@ -77,6 +67,19 @@ class StatevectorSimulator:
                 f"diagonal has shape {diagonal.shape}, expected {probs.shape}"
             )
         return float(probs @ diagonal)
+
+
+def draw_counts(
+    probs: np.ndarray, shots: int, rng: np.random.Generator
+) -> dict[int, int]:
+    """Multinomial sample of ``shots`` measurements from ``probs``.
+
+    Keys are the basis-state indices drawn at least once, ascending.
+    """
+    probs = probs / probs.sum()  # guard against rounding drift
+    counts = rng.multinomial(shots, probs)
+    drawn = np.flatnonzero(counts)
+    return dict(zip(drawn.tolist(), counts[drawn].tolist()))
 
 
 def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:

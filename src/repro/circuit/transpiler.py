@@ -40,10 +40,7 @@ class TranspileResult:
     initial_layout: dict[int, int]  # logical → physical
     final_layout: dict[int, int]  # logical → physical after routing swaps
     num_swaps: int
-
-    @property
-    def depth(self) -> int:
-        return self.circuit.depth()
+    depth: int  # circuit.depth(), computed once when the result is built
 
     @property
     def physical_qubits_used(self) -> int:
@@ -59,6 +56,8 @@ class Transpiler:
         self.coupling = coupling
         self.physical = sorted(coupling.nodes)
         self._dist = dict(nx.all_pairs_shortest_path_length(coupling))
+        # Device center: the qubit minimizing total distance to all others.
+        self._center = min(self.physical, key=lambda p: sum(self._dist[p].values()))
         self.rng = np.random.default_rng(seed)
 
     @property
@@ -90,11 +89,13 @@ class Transpiler:
 
     def _finish(self, routed, layout, final_layout, num_swaps) -> TranspileResult:
         """Decompose the routed circuit and package the result."""
+        circuit = routed.decomposed()
         return TranspileResult(
-            circuit=routed.decomposed(),
+            circuit=circuit,
             initial_layout=layout,
             final_layout=final_layout,
             num_swaps=num_swaps,
+            depth=circuit.depth(),
         )
 
     # ------------------------------------------------------------------
@@ -123,10 +124,7 @@ class Transpiler:
         order = sorted(
             ig.nodes, key=lambda q: -sum(d["weight"] for d in ig[q].values())
         )
-        # Device center: minimize total distance to all other qubits.
-        center = min(
-            self.physical, key=lambda p: sum(self._dist[p].values())
-        )
+        center = self._center
         free = set(self.physical)
         layout: dict[int, int] = {}
         for lq in order:

@@ -57,6 +57,21 @@ def run_point(
     )
 
 
+def default_points(include_edge_study: bool = True) -> list[StudyPoint]:
+    """The study points :func:`run` uses when given none."""
+    # Smaller vertex-study sizes: the circuit device holds 65 qubits.
+    points = (
+        vertex_study(triangles=(2, 3, 4, 5, 7))
+        + cover_study(sizes=((4, 4), (6, 6), (8, 8), (10, 10)))
+        + sat_study(sizes=((4, 6), (6, 10), (8, 14)))
+    )
+    if include_edge_study:
+        from .scaling import edge_study
+
+        points += edge_study(edges=(18, 24, 31))
+    return points
+
+
 def run(
     points: list[StudyPoint] | None = None,
     config: Fig8Config | None = None,
@@ -68,16 +83,7 @@ def run(
     if device is None:
         device = CircuitDevice(CircuitDeviceProfile.brooklyn(noiseless=config.noiseless))
     if points is None:
-        # Smaller vertex-study sizes: the circuit device holds 65 qubits.
-        points = (
-            vertex_study(triangles=(2, 3, 4, 5, 7))
-            + cover_study(sizes=((4, 4), (6, 6), (8, 8), (10, 10)))
-            + sat_study(sizes=((4, 6), (6, 10), (8, 14)))
-        )
-        if config.include_edge_study:
-            from .scaling import edge_study
-
-            points += edge_study(edges=(18, 24, 31))
+        points = default_points(config.include_edge_study)
     metrics = []
     for point in points:
         m = run_point(device, point, rng)

@@ -11,6 +11,7 @@ from repro.circuit import (
     CircuitTimingModel,
     NoiselessCircuitModel,
 )
+from repro.circuit import qaoa as qaoa_module
 from repro.classical import ExactNckSolver
 from repro.core import Env, SolutionQuality
 
@@ -52,13 +53,47 @@ class TestNoiseModel:
         noise = CircuitNoiseModel()
         assert noise.qubit_quality[0] <= noise.qubit_quality[-1]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fidelity_matches_per_gate_loop_bit_for_bit(self, seed):
+        """The vectorized fidelity is the float a per-gate loop returns."""
+
+        def per_gate_loop(noise, circuit):
+            log_f = 0.0
+            for gate in circuit.gates:
+                base = noise.p1 if gate.num_qubits == 1 else noise.p2
+                mult = float(
+                    np.mean([noise.qubit_quality[q % noise.num_qubits] for q in gate.qubits])
+                )
+                p_err = min(base * mult, 0.999)
+                log_f += np.log1p(-p_err)
+            return float(np.exp(log_f))
+
+        rng = np.random.default_rng(seed)
+        noise = CircuitNoiseModel(
+            p1=float(rng.uniform(0.0, 0.05)),
+            p2=float(rng.uniform(0.0, 0.9)),  # large enough to hit the 0.999 cap
+            heterogeneity=float(rng.uniform(0.0, 2.0)),
+            num_qubits=int(rng.integers(2, 66)),
+            seed=seed,
+        )
+        width = int(rng.integers(2, 100))  # wider than the device: indices wrap
+        circ = Circuit(width)
+        for _ in range(int(rng.integers(0, 2000))):
+            if rng.random() < 0.4:
+                a, b = rng.choice(width, size=2, replace=False)
+                circ.add("cx", (int(a), int(b)))
+            else:
+                circ.add("rz", int(rng.integers(width)), 0.5)
+        assert noise.circuit_fidelity(circ) == per_gate_loop(noise, circ)
+
     def test_apply_to_counts_preserves_shots(self):
         noise = CircuitNoiseModel()
         circ = Circuit(3)
         for _ in range(5):
             circ.add("cx", (0, 1))
         counts = {0: 500, 7: 500}
-        out = noise.apply_to_counts(counts, 3, circ, np.random.default_rng(0))
+        fidelity = noise.circuit_fidelity(circ)
+        out = noise.apply_to_counts(counts, 3, fidelity, np.random.default_rng(0))
         assert sum(out.values()) == 1000
 
     def test_noiseless_identity(self):
@@ -67,7 +102,7 @@ class TestNoiseModel:
         circ.add("cx", (0, 1))
         assert model.circuit_fidelity(circ) == 1.0
         counts = {1: 10}
-        assert model.apply_to_counts(counts, 2, circ, None) == counts
+        assert model.apply_to_counts(counts, 2, 1.0, None) == counts
 
 
 class TestTimingModel:
@@ -141,6 +176,33 @@ class TestDevice:
         ss = noiseless_device.sample(mvc_env(), rng=np.random.default_rng(5))
         assert ss.timing["total"] > 0
         assert 25 <= ss.timing["num_jobs"] <= 35
+
+
+class TestWorkPerJob:
+    def test_exact_job_computes_each_quantity_once(self, monkeypatch):
+        """One exact-path job: one fidelity, one cost diagonal, one depth."""
+        calls = {"circuit_fidelity": 0, "cost_diagonal": 0, "depth": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            CircuitNoiseModel,
+            "circuit_fidelity",
+            counted("circuit_fidelity", CircuitNoiseModel.circuit_fidelity),
+        )
+        monkeypatch.setattr(
+            qaoa_module, "cost_diagonal", counted("cost_diagonal", qaoa_module.cost_diagonal)
+        )
+        monkeypatch.setattr(Circuit, "depth", counted("depth", Circuit.depth))
+        device = CircuitDevice(CircuitDeviceProfile.brooklyn())
+        ss = device.sample(mvc_env(), rng=np.random.default_rng(0))
+        assert ss.metadata["execution_model"] == "exact"
+        assert calls == {"circuit_fidelity": 1, "cost_diagonal": 1, "depth": 1}
 
 
 class TestEmptyAndEdgePaths:

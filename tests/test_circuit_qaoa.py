@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuit import QAOA, cost_diagonal, qaoa_circuit
+from repro.circuit import (
+    QAOA,
+    StatevectorSimulator,
+    XYRingMixer,
+    cost_diagonal,
+    qaoa_circuit,
+    qaoa_probabilities,
+)
 from repro.qubo import IsingModel, QUBO, enumerate_assignments, qubo_to_ising
 
 
@@ -49,6 +57,49 @@ class TestCostDiagonal:
         X = enumerate_assignments(len(variables))
         expected = q.energies(X, variables)
         assert np.allclose(diag, expected)
+
+
+@st.composite
+def qaoa_instances(draw):
+    """A random Ising model, 1–3 layers of angles and either mixer."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    layers = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    names = [f"s{i}" for i in range(n)]
+    h = {v: float(rng.uniform(-2, 2)) for v in names if rng.random() < 0.7}
+    J = {
+        (names[i], names[j]): float(rng.uniform(-2, 2))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    }
+    model = IsingModel(h=h, J=J, offset=float(rng.uniform(-2, 2)))
+    angles = st.floats(min_value=-np.pi, max_value=np.pi)
+    gammas = np.array(draw(st.lists(angles, min_size=layers, max_size=layers)))
+    betas = np.array(draw(st.lists(angles, min_size=layers, max_size=layers)))
+    if draw(st.booleans()):
+        mixer = XYRingMixer(hamming_weight=draw(st.integers(min_value=0, max_value=n)))
+    else:
+        mixer = None  # transverse field
+    return model, tuple(names), gammas, betas, mixer
+
+
+class TestSimulationKernel:
+    @given(qaoa_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gate_level_simulation(self, instance):
+        """The diagonal-phase kernel and the gate-by-gate circuit agree."""
+        model, variables, gammas, betas, mixer = instance
+        diagonal = cost_diagonal(model, variables)
+        probs = qaoa_probabilities(diagonal, gammas, betas, mixer)
+        circ = qaoa_circuit(model, gammas, betas, variables, mixer=mixer)
+        sim = StatevectorSimulator()
+        assert np.abs(probs - sim.probabilities(circ)).max() <= 1e-12
+        assert abs(float(probs @ diagonal) - sim.expectation_diagonal(circ, diagonal)) <= 1e-12
+
+    def test_mismatched_layers_rejected(self):
+        with pytest.raises(ValueError):
+            qaoa_probabilities(np.zeros(4), np.array([0.1, 0.2]), np.array([0.1]))
 
 
 class TestOptimization:

@@ -8,6 +8,7 @@ from repro.circuit.statevector import (
     MAX_SIMULATED_QUBITS,
     basis_index_to_bits,
     bits_to_basis_index,
+    draw_counts,
 )
 
 
@@ -79,20 +80,20 @@ class TestSampling:
     def test_counts_sum_to_shots(self, sim):
         c = Circuit(2)
         c.add("h", 0)
-        counts = sim.sample_counts(c, shots=1000, rng=np.random.default_rng(0))
+        counts = draw_counts(sim.probabilities(c), 1000, np.random.default_rng(0))
         assert sum(counts.values()) == 1000
 
     def test_deterministic_circuit_samples_one_state(self, sim):
         c = Circuit(2)
         c.add("x", 0)
-        counts = sim.sample_counts(c, shots=100, rng=np.random.default_rng(1))
+        counts = draw_counts(sim.probabilities(c), 100, np.random.default_rng(1))
         assert counts == {2: 100}
 
     def test_uniform_superposition_covers_states(self, sim):
         c = Circuit(2)
         c.add("h", 0)
         c.add("h", 1)
-        counts = sim.sample_counts(c, shots=4000, rng=np.random.default_rng(2))
+        counts = draw_counts(sim.probabilities(c), 4000, np.random.default_rng(2))
         assert set(counts) == {0, 1, 2, 3}
         for v in counts.values():
             assert 800 < v < 1200
