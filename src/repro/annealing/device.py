@@ -20,8 +20,9 @@ the Section VIII-C timing constants.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import networkx as nx
 import numpy as np
@@ -34,10 +35,48 @@ from .embedding import Embedding, find_embedding
 from .noise import ICENoiseModel, NoiselessModel
 from .sampler import AnnealSchedule, SimulatedAnnealingSampler
 from .timing import AnnealTimingModel
-from .topology import pegasus_graph, random_disabled_qubits
+from .topology import chimera_graph, pegasus_graph, random_disabled_qubits
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.env import Env
+
+
+def _advantage41_graph(rng: np.random.Generator) -> nx.Graph:
+    """Pegasus P16 with 1% of its qubits disabled by ``rng``."""
+    return random_disabled_qubits(pegasus_graph(16), 0.01, rng)
+
+
+def _dwave2000q_graph(rng: np.random.Generator) -> nx.Graph:
+    """Chimera C16 with 2% of its qubits disabled by ``rng``."""
+    return random_disabled_qubits(chimera_graph(16), 0.02, rng)
+
+
+#: Seeded working graphs, built once per process by :func:`_working_graph`.
+_SHARED_GRAPHS: dict[tuple[Callable, int], nx.Graph] = {}
+_SHARED_GRAPHS_LOCK = threading.Lock()
+
+
+def _working_graph(
+    build: Callable[[np.random.Generator], nx.Graph],
+    rng: np.random.Generator | None,
+    seed: int,
+) -> nx.Graph:
+    """``build(rng)``, or without ``rng`` the shared ``build(default_rng(seed))``.
+
+    The seeded graph is a fixed property of the machine it stands in
+    for, so the process builds it once, under a lock that makes
+    concurrent first callers wait for one build, and freezes it: no
+    caller can mutate the graph every other profile shares, and the
+    router can memoize its layout (:mod:`repro.annealing.embedding`).
+    """
+    if rng is not None:
+        return build(rng)
+    with _SHARED_GRAPHS_LOCK:
+        graph = _SHARED_GRAPHS.get((build, seed))
+        if graph is None:
+            graph = nx.freeze(build(np.random.default_rng(seed)))
+            _SHARED_GRAPHS[build, seed] = graph
+        return graph
 
 
 @dataclass
@@ -60,12 +99,13 @@ class AnnealingDeviceProfile:
 
         Pegasus P16 with ~1% of qubits disabled for yield; ICE noise at
         published Advantage magnitudes; Section VIII-C timing constants.
+        ``rng`` picks the disabled qubits of a freshly built graph; without
+        it every profile shares one frozen graph, disabled by
+        ``default_rng(41)`` and built once per process.
         """
-        rng = rng or np.random.default_rng(41)
-        topo = random_disabled_qubits(pegasus_graph(16), 0.01, rng)
         return cls(
             name="advantage-4.1-sim",
-            topology=topo,
+            topology=_working_graph(_advantage41_graph, rng, 41),
             noise=NoiselessModel() if noiseless else ICENoiseModel(),
             timing=AnnealTimingModel(),
         )
@@ -81,12 +121,11 @@ class AnnealingDeviceProfile:
         Chimera C16 (2048 qubits, degree ≤ 6) with ~2% yield loss and
         stronger ICE noise, per published cross-generation comparisons.
         Useful for the Pegasus-vs-Chimera ablation: the sparser topology
-        forces longer chains for the same problems.
+        forces longer chains for the same problems.  As for
+        :meth:`advantage41`, ``rng`` builds a fresh graph; without it the
+        profile shares one frozen graph, disabled by ``default_rng(2000)``.
         """
-        from .topology import chimera_graph
-
-        rng = rng or np.random.default_rng(2000)
-        topo = random_disabled_qubits(chimera_graph(16), 0.02, rng)
+        topo = _working_graph(_dwave2000q_graph, rng, 2000)
         noise = (
             NoiselessModel()
             if noiseless

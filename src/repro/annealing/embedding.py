@@ -23,7 +23,10 @@ breadth-first order from a central qubit (the tiling idea behind D-Wave's
 ``TilingComposite``), and the window doubles after ``max_attempts``
 failures, up to the whole graph.  An attempt makes at most ``(3 +
 max_sweeps) · |V|`` routes, so a call makes at most ``max_attempts`` times
-that per window.
+that per window.  The layout a router needs of its target (the CSR
+adjacency, the sorted qubits and the central breadth-first order) is
+built once per frozen target, such as the working graph the device
+profiles share, and each call routes on its own copy of the weights.
 
 The resulting physical-qubit counts — the paper's "number of qubits used
 on the D-Wave" axis in Figure 7 — grow with problem connectivity exactly
@@ -33,6 +36,8 @@ constraints mean *fewer* physical qubits at the same variable count).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import networkx as nx
@@ -213,37 +218,41 @@ class _Router:
     #: convergence (like minorminer's inner/outer loop).
     USAGE_PENALTY = 16.0
 
-    def __init__(self, graph: csr_matrix, qubits: list[int]) -> None:
+    def __init__(
+        self, graph: csr_matrix, qubits: list[int], order: np.ndarray | None = None
+    ) -> None:
         # Symmetric adjacency over local indices; _route rewrites its
-        # weights in place (data[k] weighs the edge into indices[k]).
+        # weights in place (data[k] weighs the edge into indices[k]), so
+        # no two routers share one matrix.  ``order`` is the whole-target
+        # breadth-first order behind :meth:`windows`.
         self._graph = graph
         self.qubits = qubits
         self.n = len(qubits)
+        self._order = order
 
     @classmethod
     def of(cls, target: nx.Graph) -> _Router:
-        """The router over the whole of ``target``."""
-        qubits = sorted(target.nodes)
-        index = {q: i for i, q in enumerate(qubits)}
-        edges = np.array([(index[a], index[b]) for a, b in target.edges]).reshape(-1, 2).T
-        tails, heads = np.concatenate([edges, edges[::-1]], axis=1)
-        n = len(qubits)
-        return cls(csr_matrix((np.ones(tails.size), (tails, heads)), shape=(n, n)), qubits)
+        """The router over the whole of ``target``.
+
+        A frozen ``target`` (such as the shared device graphs) cannot
+        change, so its layout is built once and kept for as long as the
+        graph lives; every router gets its own copy of the weights.
+        """
+        if nx.is_frozen(target):
+            with _LAYOUTS_LOCK:
+                layout = _LAYOUTS.get(target)
+                if layout is None:
+                    layout = _LAYOUTS[target] = _layout(target)
+        else:
+            layout = _layout(target)
+        graph, qubits, order = layout
+        return cls(graph.copy(), qubits, order)
 
     def windows(self, size: int):
         """Routers over the first ``size``, ``2·size``, … qubits in
         breadth-first order from a central qubit, then this router."""
-        # Double-sweep BFS: the middle of a longest breadth-first path
-        # from a farthest qubit sits near the centre of the lattice.
-        start = int(np.diff(self._graph.indptr).argmax())
-        far = breadth_first_order(self._graph, start, return_predecessors=False)[-1]
-        order, preds = breadth_first_order(self._graph, far)
-        path = [order[-1]]
-        while preds[path[-1]] >= 0:
-            path.append(preds[path[-1]])
-        order = breadth_first_order(self._graph, path[len(path) // 2], return_predecessors=False)
-        while size < order.size:
-            idx = np.sort(order[:size])
+        while size < self._order.size:
+            idx = np.sort(self._order[:size])
             yield _Router(self._graph[idx][:, idx], [self.qubits[i] for i in idx])
             size *= 2
         yield self
@@ -366,6 +375,32 @@ class _Router:
                     break
                 node = prev
         return chain
+
+
+#: Router layouts of frozen targets, dropped with their graph.
+_LAYOUTS: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = weakref.WeakKeyDictionary()
+_LAYOUTS_LOCK = threading.Lock()
+
+
+def _layout(target: nx.Graph) -> tuple[csr_matrix, list[int], np.ndarray]:
+    """Unit-weight CSR adjacency of ``target`` over its sorted qubits, the
+    qubits, and their breadth-first order from a central qubit."""
+    qubits = sorted(target.nodes)
+    index = {q: i for i, q in enumerate(qubits)}
+    edges = np.array([(index[a], index[b]) for a, b in target.edges]).reshape(-1, 2).T
+    tails, heads = np.concatenate([edges, edges[::-1]], axis=1)
+    n = len(qubits)
+    graph = csr_matrix((np.ones(tails.size), (tails, heads)), shape=(n, n))
+    # Double-sweep BFS: the middle of a longest breadth-first path from a
+    # farthest qubit sits near the centre of the lattice.
+    start = int(np.diff(graph.indptr).argmax())
+    far = breadth_first_order(graph, start, return_predecessors=False)[-1]
+    order, preds = breadth_first_order(graph, far)
+    path = [order[-1]]
+    while preds[path[-1]] >= 0:
+        path.append(preds[path[-1]])
+    order = breadth_first_order(graph, path[len(path) // 2], return_predecessors=False)
+    return graph, qubits, order
 
 
 def _bfs_order(source: nx.Graph, rng: np.random.Generator) -> list:

@@ -73,6 +73,8 @@ class ClassicalBackend:
 
     deterministic = True
     is_exact = True
+    #: The name every instance reports (the exact solver's).
+    default_name = "classical-exact"
 
     def __init__(self, node_limit: int = 50_000_000) -> None:
         """Configure the underlying solver's ``node_limit`` safety valve."""
@@ -91,6 +93,8 @@ class AnnealingBackend:
     """Adapter around the simulated D-Wave annealing device."""
 
     deterministic = False
+    #: The name of the default device, the Advantage-4.1 stand-in.
+    default_name = "advantage-4.1-sim"
 
     def __init__(
         self,
@@ -98,7 +102,8 @@ class AnnealingBackend:
         num_reads: int | None = None,
         noiseless: bool = False,
     ) -> None:
-        """Wrap ``device`` (default: a fresh Advantage-4.1 stand-in).
+        """Wrap ``device`` (default: an Advantage-4.1 stand-in on the
+        process's shared working graph, so building one is cheap).
 
         ``num_reads`` overrides the profile's per-job read count;
         ``noiseless`` selects the noise-free profile when no ``device``
@@ -136,6 +141,8 @@ class QAOABackend:
     """Adapter around the simulated gate-model (QAOA) device."""
 
     deterministic = False
+    #: The name of the default device, the ibmq-brooklyn stand-in.
+    default_name = "ibmq-brooklyn-sim"
 
     def __init__(self, device=None, noiseless: bool = False) -> None:
         """Wrap ``device`` (default: a fresh ibmq-brooklyn stand-in);
@@ -166,6 +173,15 @@ BACKEND_FACTORIES = {
 }
 
 
+def _factory(name: str):
+    """The adapter class registered under ``name``."""
+    try:
+        return BACKEND_FACTORIES[name]
+    except KeyError:
+        known = ", ".join(sorted(set(BACKEND_FACTORIES)))
+        raise ValueError(f"unknown backend {name!r} (known: {known})") from None
+
+
 def make_backend(spec, **kwargs) -> Backend:
     """Build a backend from ``spec``.
 
@@ -175,12 +191,7 @@ def make_backend(spec, **kwargs) -> Backend:
     satisfying the :class:`Backend` protocol, returned unchanged.
     """
     if isinstance(spec, str):
-        try:
-            factory = BACKEND_FACTORIES[spec]
-        except KeyError:
-            known = ", ".join(sorted(set(BACKEND_FACTORIES)))
-            raise ValueError(f"unknown backend {spec!r} (known: {known})") from None
-        return factory(**kwargs)
+        return _factory(spec)(**kwargs)
     if isinstance(spec, Backend):
         return spec
     raise TypeError(
@@ -188,18 +199,43 @@ def make_backend(spec, **kwargs) -> Backend:
     )
 
 
+def _parse_specs(specs: Iterable | str) -> list:
+    """``specs`` as a list: a comma-separated string splits into names."""
+    if isinstance(specs, str):
+        return [s.strip() for s in specs.split(",") if s.strip()]
+    return list(specs)
+
+
+def _checked_names(names: list[str]) -> list[str]:
+    """``names``, unless there are none or two are equal."""
+    if not names:
+        raise ValueError("at least one backend is required")
+    if len(set(names)) != len(names):
+        raise ValueError(f"backend names must be unique, got {names}")
+    return names
+
+
 def resolve_backends(specs: Iterable | str) -> list[Backend]:
     """Normalize ``specs`` — a comma-separated string, or an iterable of
     names and/or backend objects — into a list of backends."""
-    if isinstance(specs, str):
-        specs = [s.strip() for s in specs.split(",") if s.strip()]
-    backends = [make_backend(s) for s in specs]
-    if not backends:
-        raise ValueError("at least one backend is required")
-    names = [b.name for b in backends]
-    if len(set(names)) != len(names):
-        raise ValueError(f"backend names must be unique, got {names}")
+    backends = [make_backend(s) for s in _parse_specs(specs)]
+    _checked_names([b.name for b in backends])
     return backends
+
+
+def backend_names(specs: Iterable | str) -> list[str]:
+    """The names :func:`resolve_backends` gives ``specs``, building nothing.
+
+    A name spec contributes its adapter's ``default_name``; a backend
+    object its ``name``.  Raises the same errors as
+    :func:`resolve_backends`.
+    """
+    return _checked_names(
+        [
+            _factory(s).default_name if isinstance(s, str) else make_backend(s).name
+            for s in _parse_specs(specs)
+        ]
+    )
 
 
 def best_valid(samples: SampleSet | Sequence[Solution]) -> Solution | None:

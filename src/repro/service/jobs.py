@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..runtime.backends import resolve_backends
+from ..runtime.backends import backend_names
 from ..runtime.strategy import get_strategy
 from .cache import request_fingerprint, solver_signature
 
@@ -65,9 +65,13 @@ class SolveRequest:
         return request_fingerprint(self.env(), self.compile_kwargs)
 
     def signature(self) -> str:
-        """The solving-configuration half of the result-cache key."""
+        """The solving-configuration half of the result-cache key.
+
+        Backends enter by name (:func:`~repro.runtime.backends.backend_names`),
+        so computing it on the event loop builds no hardware.
+        """
         return solver_signature(
-            resolve_backends(self.backends),
+            backend_names(self.backends),
             get_strategy(self.strategy),
             self.timeout,
             self.retries,

@@ -1,5 +1,11 @@
 """Unit tests for the annealing device backend (noise, timing, pipeline)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -158,6 +164,74 @@ class TestProfiles:
     def test_noiseless_profile(self):
         profile = AnnealingDeviceProfile.advantage41(noiseless=True)
         assert isinstance(profile.noise, NoiselessModel)
+
+
+#: Counts the Pegasus P16 builds of one process that makes Advantage-4.1
+#: profiles from two threads at once, again from the adapter, and then
+#: through a two-worker service serving two tenants' annealing requests.
+BUILD_COUNT_SCRIPT = """
+import threading
+from repro.annealing import device
+from repro.problems import MinVertexCover, circulant_graph, vertex_scaling_graph
+from repro.runtime.backends import AnnealingBackend
+from repro.service import ServiceClient, ServiceConfig, SolveRequest
+
+builds = 0
+pegasus_graph = device.pegasus_graph
+
+def counting_pegasus_graph(m=16):
+    global builds
+    builds += 1
+    return pegasus_graph(m)
+
+device.pegasus_graph = counting_pegasus_graph
+threads = [threading.Thread(target=device.AnnealingDeviceProfile.advantage41) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+assert not any(thread.is_alive() for thread in threads)
+device.AnnealingDeviceProfile.advantage41(noiseless=True)
+AnnealingBackend()
+problems = {"a": MinVertexCover(vertex_scaling_graph(3)), "b": MinVertexCover(circulant_graph(9))}
+with ServiceClient(ServiceConfig(workers=2)) as client:
+    futures = [
+        client.submit(SolveRequest(problem=problems[t], tenant=t, backends="annealing", seed=k))
+        for k in range(2)
+        for t in problems
+    ]
+    assert all(f.result(timeout=120).solution.all_hard_satisfied for f in futures)
+print(builds)
+"""
+
+
+class TestSharedWorkingGraph:
+    def test_a_process_builds_the_advantage_graph_once(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_COUNT_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
+    def test_profiles_share_one_frozen_graph(self):
+        topology = AnnealingDeviceProfile.advantage41().topology
+        assert topology is AnnealingDeviceProfile.advantage41(noiseless=True).topology
+        with pytest.raises(nx.NetworkXError):
+            topology.add_edge(0, 1)
+
+    @pytest.mark.parametrize("factory, seed", [("advantage41", 41), ("dwave2000q", 2000)])
+    def test_shared_graph_is_the_seeded_build(self, factory, seed):
+        make = getattr(AnnealingDeviceProfile, factory)
+        shared = make().topology
+        fresh = make(rng=np.random.default_rng(seed)).topology
+        assert fresh is not shared and not nx.is_frozen(fresh)
+        assert set(fresh.nodes) == set(shared.nodes)
+        assert {frozenset(e) for e in fresh.edges} == {frozenset(e) for e in shared.edges}
 
 
 class TestDwave2000QProfile:

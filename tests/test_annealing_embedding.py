@@ -1,5 +1,8 @@
 """Unit tests for minor embedding."""
 
+import sys
+import threading
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -91,8 +94,9 @@ class TestRouterBounds:
         assert 0 < calls <= (1 + 12) * 14
 
     def test_equal_seeds_give_identical_chains(self):
-        """Seeded embeddings repeat exactly, and this one routes inside a
-        window smaller than the chip."""
+        """Seeded embeddings repeat exactly, also on an unfrozen copy of the
+        shared target (which bypasses the layout memo), and this one
+        routes inside a window smaller than the chip."""
         from repro import telemetry
         from repro.annealing.device import AnnealingDeviceProfile
         from repro.problems import MapColoring, vertex_scaling_graph
@@ -106,14 +110,54 @@ class TestRouterBounds:
         try:
             first = find_embedding(g, target, np.random.default_rng(5))
             second = find_embedding(g, target, np.random.default_rng(5))
+            unfrozen = find_embedding(g, nx.Graph(target), np.random.default_rng(5))
         finally:
             telemetry.disable()
-        assert first.chains == second.chains
+        assert first.chains == second.chains == unfrozen.chains
         first.validate(g, target)
         spans = [s for s in rec.spans if s.name == "anneal.embed"]
-        assert [s.attributes["strategy"] for s in spans] == ["router-first"] * 2
+        assert [s.attributes["strategy"] for s in spans] == ["router-first"] * 3
         assert all(s.attributes["attempts"] >= 1 for s in spans)
         assert all(s.attributes["window_qubits"] < target.number_of_nodes() for s in spans)
+
+    @pytest.mark.parametrize("chip", ["advantage41", "p4"])
+    def test_concurrent_calls_route_on_their_own_weights(self, chip):
+        """Two threads embedding on one frozen target get the chains of
+        sequential calls: each router rewrites only its own weights.  On
+        the Advantage-4.1 graph the calls route in windows; a frozen P4 is
+        small enough that they route on the whole memoized layout."""
+        from repro.annealing.device import AnnealingDeviceProfile
+
+        if chip == "p4":
+            target = nx.freeze(pegasus_graph(4))
+        else:
+            target = AnnealingDeviceProfile.advantage41().topology
+        graphs = [
+            nx.relabel_nodes(nx.gnp_random_graph(12, 0.3, seed=s), lambda i: f"n{i}")
+            for s in (1, 2)
+        ]
+        expected = [
+            find_embedding(g, target, np.random.default_rng(i)).chains
+            for i, g in enumerate(graphs)
+        ]
+        got: list[list] = [[], []]
+
+        def embed_rounds(i):
+            for _ in range(5):
+                got[i].append(find_embedding(graphs[i], target, np.random.default_rng(i)).chains)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=embed_rounds, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[expected[0]] * 5, [expected[1]] * 5]
 
 
 class TestEmbeddingProperties:

@@ -12,7 +12,16 @@ from repro.analysis.certify import certify_program, qubo_fingerprint
 from repro.core import Env
 from repro.core.solution import SampleSet, Solution
 from repro.core.types import UnsatisfiableError
+from repro.annealing.device import AnnealingDevice
+from repro.circuit.device import CircuitDevice
 from repro.runtime import BatchRunner, HybridExecutor
+from repro.runtime.backends import (
+    BACKEND_FACTORIES,
+    ClassicalBackend,
+    backend_names,
+    make_backend,
+    resolve_backends,
+)
 from repro.service import (
     AdmissionController,
     AdmissionRejected,
@@ -199,6 +208,19 @@ class TestLRUCache:
         assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
 
 
+#: ``SolveRequest(backends=alias, seed=3).signature()`` per alias, as
+#: recorded when signatures were still computed from built backends.
+RECORDED_SIGNATURES = {
+    "classical": '[["classical-exact"],"race",null,null,3]',
+    "exact": '[["classical-exact"],"race",null,null,3]',
+    "annealing": '[["advantage-4.1-sim"],"race",null,null,3]',
+    "anneal": '[["advantage-4.1-sim"],"race",null,null,3]',
+    "dwave": '[["advantage-4.1-sim"],"race",null,null,3]',
+    "qaoa": '[["ibmq-brooklyn-sim"],"race",null,null,3]',
+    "circuit": '[["ibmq-brooklyn-sim"],"race",null,null,3]',
+}
+
+
 class TestFingerprints:
     def test_request_fingerprint_is_construction_independent(self):
         assert request_fingerprint(two_var_env()) == request_fingerprint(two_var_env())
@@ -235,6 +257,61 @@ class TestFingerprints:
         program = env.to_qubo()
         certificate = certify_program(env, program)
         assert certificate.qubo_sha256 == program.fingerprint
+
+    def test_signature_builds_no_hardware(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("signature() built a device")
+
+        monkeypatch.setattr(AnnealingDevice, "__init__", refuse)
+        monkeypatch.setattr(CircuitDevice, "__init__", refuse)
+        env = two_var_env()
+        for alias in BACKEND_FACTORIES:
+            signature = SolveRequest(problem=env, backends=alias, seed=3).signature()
+            assert signature == RECORDED_SIGNATURES[alias]
+        comma = SolveRequest(
+            problem=env,
+            backends="classical, annealing,qaoa",
+            strategy="ensemble",
+            timeout=2.5,
+            retries=1,
+            seed=9,
+        )
+        assert comma.signature() == (
+            '[["classical-exact","advantage-4.1-sim","ibmq-brooklyn-sim"],"ensemble",2.5,1,9]'
+        )
+        mixed = SolveRequest(
+            problem=env, backends=["dwave", ClassicalBackend()], strategy="fallback"
+        )
+        assert mixed.signature() == (
+            '[["advantage-4.1-sim","classical-exact"],"fallback",null,null,null]'
+        )
+
+    @pytest.mark.parametrize(
+        "backends, message",
+        [
+            (
+                "bogus",
+                "unknown backend 'bogus' "
+                "(known: anneal, annealing, circuit, classical, dwave, exact, qaoa)",
+            ),
+            (
+                "annealing,dwave",
+                "backend names must be unique, "
+                "got ['advantage-4.1-sim', 'advantage-4.1-sim']",
+            ),
+            ("", "at least one backend is required"),
+        ],
+    )
+    def test_signature_raises_what_resolve_backends_raises(self, backends, message):
+        request = SolveRequest(problem=None, backends=backends)
+        for call in (request.signature, lambda: resolve_backends(backends)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("alias", sorted(BACKEND_FACTORIES))
+    def test_default_name_is_the_built_backends_name(self, alias):
+        assert backend_names(alias) == [make_backend(alias).name]
 
     def test_solver_signature_distinguishes_configs(self):
         base = solver_signature(["classical"], "race", None, None, 7)
