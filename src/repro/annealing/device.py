@@ -353,19 +353,7 @@ class AnnealingDevice:
 
         energies = program.qubo.energies(logical_bits, logical_vars)
 
-        solutions = []
-        for r in range(num_reads):
-            assignment = program.strip_ancillas(
-                dict(zip(logical_vars, map(int, logical_bits[r])))
-            )
-            solutions.append(
-                Solution.from_assignment(
-                    env,
-                    assignment,
-                    energy=float(energies[r]),
-                    backend=self.name,
-                )
-            )
+        solutions = _solutions(env, program, logical_vars, logical_bits, energies, self.name)
         telemetry.count("anneal.jobs")
         telemetry.count("anneal.broken_chains", broken)
         telemetry.gauge("anneal.physical_qubits", embedding.num_physical_qubits)
@@ -567,6 +555,57 @@ class AnnealingDevice:
                 h.setdefault(pname(q), 0.0)
 
         return IsingModel(h=h, J=J, offset=logical.offset), chain_edges
+
+
+def _solutions(
+    env: "Env",
+    program: CompiledProgram,
+    logical_vars: tuple[str, ...],
+    logical_bits: np.ndarray,
+    energies: np.ndarray,
+    backend: str,
+) -> list[Solution]:
+    """One :class:`Solution` per row of ``logical_bits``, in row order.
+
+    Each equals ``Solution.from_assignment`` of the row's
+    ``program.strip_ancillas`` assignment, but all rows are scored at
+    once: one (constraints × variables) multiplicity matrix gives every
+    read's TRUE-count per constraint in one product, and a table of each
+    constraint's selection set turns the counts into verdicts.
+    """
+    names = program.variables
+    logical_col = {v: j for j, v in enumerate(logical_vars)}
+    bits = logical_bits[:, [logical_col[v] for v in names]].astype(np.int64)
+    col = {v: j for j, v in enumerate(names)}
+    constraints = env.constraints
+    multiplicity = np.zeros((len(constraints), len(names)), dtype=np.int64)
+    offsets = np.zeros(len(constraints), dtype=np.int64)
+    table: list[bool] = []
+    for i, c in enumerate(constraints):
+        for v, m in c.collection.counts.items():
+            multiplicity[i, col[v.name]] = m
+        offsets[i] = len(table)
+        table.extend(t in c.selection for t in range(c.collection.cardinality + 1))
+    satisfied = np.array(table, dtype=bool)[bits @ multiplicity.T + offsets]
+    soft = np.array([c.soft for c in constraints], dtype=bool)
+    hard_total, soft_total = len(env.hard_constraints), len(env.soft_constraints)
+    return [
+        Solution(
+            assignment=dict(zip(names, row)),
+            energy=energy,
+            hard_satisfied=hard_sat,
+            soft_satisfied=soft_sat,
+            hard_total=hard_total,
+            soft_total=soft_total,
+            backend=backend,
+        )
+        for row, energy, hard_sat, soft_sat in zip(
+            bits.astype(bool).tolist(),
+            energies.tolist(),
+            satisfied[:, ~soft].sum(axis=1).tolist(),
+            satisfied[:, soft].sum(axis=1).tolist(),
+        )
+    ]
 
 
 def _scaled(model: IsingModel, factor: float) -> IsingModel:

@@ -11,8 +11,10 @@ model, which is the standard software surrogate (D-Wave ships one as
 Implementation notes (HPC-guide idioms; full contract in
 ``docs/numerics.md``):
 
-* all ``num_reads`` replicas anneal simultaneously as rows of one spin
-  matrix, so a sweep is a handful of BLAS/numpy ops over the whole batch;
+* all ``num_reads`` replicas anneal simultaneously as columns of one
+  transposed spin array whose rows are grouped class by class, so a
+  class update is a handful of in-place numpy ops on one contiguous
+  block, and each sweep makes one uniform draw;
 * spins are partitioned into coupling-graph independent sets (greedy
   coloring) and each color class updates simultaneously with exact
   Metropolis dynamics — no co-flip artifacts, every update batched;
@@ -89,45 +91,127 @@ def _build_coupling(
     return h, J_ut + J_ut.T
 
 
+def _blocked_order(classes: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The kernel's spin layout: ``(perm, bounds)``.
+
+    Row ``r`` of the blocked ``(n, num_reads)`` spin array holds spin
+    ``perm[r]``, and class ``k`` owns the contiguous rows
+    ``bounds[k] = (a_k, b_k)``.
+    """
+    perm = np.concatenate(classes)
+    ends = np.cumsum([cls.size for cls in classes]).tolist()
+    return perm, list(zip([0] + ends[:-1], ends))
+
+
+def _class_uniforms(
+    U: np.ndarray, num_reads: int, bounds: list[tuple[int, int]]
+) -> list[np.ndarray]:
+    """Split one sweep's flat draws ``U`` into per-class ``(num_reads, m_k)`` views.
+
+    The generator fills ``U`` one value after another, so class ``k``'s
+    slice holds exactly what a ``random((num_reads, m_k))`` call per
+    class, in class order, would return.
+    """
+    return [U[num_reads * a : num_reads * b].reshape(num_reads, b - a) for a, b in bounds]
+
+
+def _class_fields(
+    coupling, h: np.ndarray, classes: list[np.ndarray]
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The field step of the sweep kernel: ``fields(k, T)``.
+
+    ``T`` is the blocked ``(n, num_reads)`` spin array of
+    :func:`_blocked_order`; ``fields(k, T)`` returns class ``k``'s local
+    fields ``h_i + sum_j J_sym[i, j] s_j`` as a fresh ``(m_k, num_reads)``
+    array the caller may overwrite.  With ``S`` the row-major
+    ``(num_reads, n)`` spin matrix that ``T`` blocks, they equal
+    ``S @ np.ascontiguousarray(J_sym[:, cls]) + h[cls]`` (dense) or
+    ``(J_sym[cls] @ S.T).T + h[cls]`` (sparse) bit for bit.
+    """
+    perm, _ = _blocked_order(classes)
+    pos = np.argsort(perm)
+    if isinstance(coupling, np.ndarray):
+        # BLAS rounds by operand layout, so the product keeps the
+        # row-major, original-order S against the contiguous column
+        # block: rebuilding S costs O(n·reads), the product O(n·m·reads).
+        # The result is copied to the block's layout, which keeps the
+        # update's small elementwise passes contiguous.
+        operators = [np.ascontiguousarray(coupling[:, cls]) for cls in classes]
+        h_rows = [h[cls] for cls in classes]
+
+        def fields(k: int, T: np.ndarray) -> np.ndarray:
+            out = T[pos].T.copy() @ operators[k]
+            out += h_rows[k]
+            return np.ascontiguousarray(out.T)
+
+        return fields
+    # CSR row blocks whose column indices point at blocked rows, each
+    # row's stored entry order kept: csr_matvecs sums in stored order,
+    # so the fields are the original ones, and the C-ordered T is its
+    # operand as it stands (S.T would be copied on every call).
+    sp = require_scipy()
+    operators = []
+    for cls in classes:
+        block = coupling[cls]
+        operators.append(
+            sp.csr_matrix((block.data, pos[block.indices], block.indptr), shape=block.shape)
+        )
+    h_cols = [h[cls][:, None] for cls in classes]
+
+    def fields(k: int, T: np.ndarray) -> np.ndarray:
+        out = operators[k] @ T
+        out += h_cols[k]
+        return out
+
+    return fields
+
+
 def _metropolis_sweeps(
     S: np.ndarray,
     h: np.ndarray,
     coupling,
     classes: list[np.ndarray],
     betas: np.ndarray,
-    draw: Callable[[int], np.ndarray],
+    draw: Callable[[], list[np.ndarray]],
 ) -> None:
     """Run the color-class Metropolis sweep loop in place on ``S``.
 
     ``S`` is the ``(num_reads, n)`` float ±1 spin matrix, ``coupling``
-    the symmetrized matrix (dense ``ndarray`` or CSR), and ``draw(k)``
-    returns the uniform acceptance draws for class ``k`` — the one
-    RNG-consuming hook, so dense, sparse, and batched callers consume
-    identical streams.  Per class, the single-flip energy delta is
-    ``dE(flip i) = -2 s_i (h_i + sum_j J_ij s_j)``; flips with
-    ``dE <= 0`` are always taken, others with probability
-    ``exp(-beta dE)``.
+    the symmetrized matrix (dense ``ndarray`` or CSR), and ``draw()``
+    returns one sweep's uniform acceptance draws, class ``k``'s as a
+    ``(num_reads, m_k)`` array — the one RNG-consuming hook, so dense,
+    sparse, and batched callers consume identical streams.  The sweeps
+    run on the blocked transpose of ``S`` (:func:`_blocked_order`), where
+    each class is a contiguous row block updated in place.  Per class,
+    the single-flip energy delta is ``dE(flip i) = -2 s_i f_i``, with
+    ``f`` from :func:`_class_fields`; a flip is taken when its uniform is
+    below ``exp(clip(-beta dE, -700, 0))``, which always holds for
+    ``dE <= 0`` (``exp(0) = 1``).
     """
-    dense = isinstance(coupling, np.ndarray)
-    if dense:
-        # Pre-slice the per-class column blocks once; each sweep is then
-        # one BLAS product per class against a contiguous block.
-        operators = [np.ascontiguousarray(coupling[:, cls]) for cls in classes]
-    else:
-        # CSR row blocks: fields come from J_sym[cls] @ S.T, whose cost
-        # scales with the couplers of the class, not n**2.
-        operators = [coupling[cls] for cls in classes]
+    perm, bounds = _blocked_order(classes)
+    fields = _class_fields(coupling, h, classes)
+    T = np.ascontiguousarray(S.T[perm])
     for beta in betas:
-        for k, cls in enumerate(classes):
-            if dense:
-                fields = S @ operators[k] + h[cls]
-            else:
-                fields = (operators[k] @ S.T).T + h[cls]
-            delta = -2.0 * S[:, cls] * fields
-            accept = (delta <= 0.0) | (
-                draw(k) < np.exp(np.clip(-delta * beta, -700, 0))
-            )
-            S[:, cls] = np.where(accept, -S[:, cls], S[:, cls])
+        uniforms = draw()
+        # -beta·dE = (s·f)·(2·beta): the factor 2 and the sign are exact,
+        # so this rounds once, to the same value as (-dE)·beta.
+        two_beta = 2.0 * beta
+        for k, (a, b) in enumerate(bounds):
+            s = T[a:b]
+            x = fields(k, T)
+            x *= s
+            x *= two_beta
+            np.maximum(x, -700.0, out=x)
+            np.minimum(x, 0.0, out=x)
+            np.exp(x, out=x)
+            # Flip where u < x.  Two distinct doubles never differ by
+            # zero, so u - x < 0 exactly there, and s·(u - x) carries
+            # the new spin's sign (s itself on a tie's +0.0): one pass
+            # each, where a masked negative is slow on a random mask.
+            np.subtract(uniforms[k].T, x, out=x)
+            x *= s
+            np.copysign(1.0, x, out=s)
+    S[...] = T[np.argsort(perm)].T
 
 
 class SimulatedAnnealingSampler:
@@ -180,6 +264,8 @@ class SimulatedAnnealingSampler:
         spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, n))
         S = spins.astype(np.float64)
 
+        # One draw per sweep; class k's uniforms are its slice of it.
+        _, bounds = _blocked_order(color_classes)
         betas = (schedule or self.schedule).betas()
         t0 = time.perf_counter()
         _metropolis_sweeps(
@@ -188,7 +274,7 @@ class SimulatedAnnealingSampler:
             J_sym,
             color_classes,
             betas,
-            lambda k: rng.random((num_reads, color_classes[k].size)),
+            lambda: _class_uniforms(rng.random(num_reads * n), num_reads, bounds),
         )
         if telemetry.enabled():
             elapsed = time.perf_counter() - t0
@@ -296,17 +382,12 @@ class SimulatedAnnealingSampler:
         # and per-program RNG consumption matches the solo kernel.
         per_program = {i: _independent_classes(built[i][1]) for i in live}
         depth = max(len(per_program[i]) for i in live)
-        fused_classes: list[np.ndarray] = []
-        segments: list[list[tuple[int, int]]] = []
-        for k in range(depth):
-            parts, segs = [], []
-            for i in live:
-                if k < len(per_program[i]):
-                    cls = per_program[i][k]
-                    parts.append(cls + offsets[i])
-                    segs.append((i, cls.size))
-            fused_classes.append(np.concatenate(parts))
-            segments.append(segs)
+        fused_classes = [
+            np.concatenate(
+                [per_program[i][k] + offsets[i] for i in live if k < len(per_program[i])]
+            )
+            for k in range(depth)
+        ]
 
         S = np.concatenate(
             [
@@ -318,10 +399,20 @@ class SimulatedAnnealingSampler:
             axis=1,
         )
 
-        def draw(k: int) -> np.ndarray:
-            return np.concatenate(
-                [rngs[i].random((num_reads, m)) for i, m in segments[k]], axis=1
-            )
+        # Each program draws one sweep's uniforms from its own stream, as
+        # a solo call would; fused class k takes every program's class-k
+        # slice, in program order.
+        program_bounds = [_blocked_order(per_program[i])[1] for i in live]
+
+        def draw() -> list[np.ndarray]:
+            per = [
+                _class_uniforms(rngs[i].random(num_reads * sizes[i]), num_reads, bounds)
+                for i, bounds in zip(live, program_bounds)
+            ]
+            return [
+                np.concatenate([u[k] for u in per if k < len(u)], axis=1)
+                for k in range(depth)
+            ]
 
         betas = (schedule or self.schedule).betas()
         _metropolis_sweeps(S, h, J_fused, fused_classes, betas, draw)

@@ -16,8 +16,9 @@ from repro.annealing import (
     ICENoiseModel,
     NoiselessModel,
 )
+from repro.annealing import device as device_module
 from repro.classical import ExactNckSolver
-from repro.core import Env, SolutionQuality
+from repro.core import Env, SampleSet, Solution, SolutionQuality
 from repro.qubo import IsingModel
 
 
@@ -27,6 +28,20 @@ def mvc_env() -> Env:
         env.nck(list(e), [1, 2])
     for v in "abcde":
         env.prefer_false(v)
+    return env
+
+
+def repeated_soft_env() -> Env:
+    """Collections that repeat a variable, under hard and soft constraints."""
+    env = Env()
+    env.nck(["a", "a", "b", "c"], [1, 2])
+    env.nck(["b", "c", "c", "d"], [0, 3])
+    env.nck(["a", "d", "e"], [1])
+    env.nck(["b", "d", "e"], [0, 2])  # compiles with an ancilla
+    env.nck(["c", "c", "e"], [2], soft=True)
+    env.nck(["a", "b", "b"], [0], soft=True)
+    for v in "abcde":
+        env.prefer_true(v)
     return env
 
 
@@ -153,6 +168,83 @@ class TestDevicePipeline:
             # Energy must equal the QUBO energy minimized over ancillas —
             # here there are none, so direct evaluation matches.
             assert sol.energy == pytest.approx(program.qubo.energy(full))
+
+
+def from_assignment_reads(env, program, logical_vars, logical_bits, energies, backend):
+    """The per-read scoring the one-product ``_solutions`` replaced."""
+    solutions = []
+    for r in range(len(logical_bits)):
+        assignment = program.strip_ancillas(
+            dict(zip(logical_vars, map(int, logical_bits[r])))
+        )
+        solutions.append(
+            Solution.from_assignment(
+                env, assignment, energy=float(energies[r]), backend=backend
+            )
+        )
+    return solutions
+
+
+def read_keys(solutions):
+    return [
+        (list(s.assignment.items()), s.energy, s.hard_satisfied, s.soft_satisfied)
+        for s in solutions
+    ]
+
+
+class TestReadScoring:
+    """A job's reads are scored in one product, equal to per-read scoring."""
+
+    @pytest.fixture(scope="class")
+    def noisy_device(self):
+        # No post-processing, so the noisy reads keep their violations.
+        return AnnealingDevice(AnnealingDeviceProfile.advantage41(), postprocess_sweeps=0)
+
+    @pytest.mark.parametrize("make_env", [repeated_soft_env, mvc_env])
+    def test_counts_totals_and_keys_match_the_env(self, noisy_device, make_env):
+        env = make_env()
+        program = env.to_qubo()
+        ss = noisy_device.sample(
+            env, num_reads=60, rng=np.random.default_rng(12), program=program
+        )
+        assert len(ss) == 60
+        for sol in ss:
+            counts = env.satisfied_counts(sol.assignment)
+            assert (sol.hard_satisfied, sol.soft_satisfied) == counts
+            assert sol.hard_total == len(env.hard_constraints)
+            assert sol.soft_total == len(env.soft_constraints)
+            assert list(sol.assignment) == list(program.variables)
+        assert len({(s.hard_satisfied, s.soft_satisfied) for s in ss}) > 1
+
+    def test_reads_and_order_equal_a_from_assignment_build(
+        self, noisy_device, monkeypatch
+    ):
+        env = repeated_soft_env()
+        program = env.to_qubo()
+        assert program.ancillas
+        calls = []
+        real = device_module._solutions
+
+        def recording(*args):
+            out = real(*args)
+            calls.append((args, list(out)))
+            return out
+
+        monkeypatch.setattr(device_module, "_solutions", recording)
+        ss = noisy_device.sample(
+            env, num_reads=80, rng=np.random.default_rng(13), program=program
+        )
+        (args, reads), = calls
+        expected = from_assignment_reads(*args)
+        assert read_keys(reads) == read_keys(expected) and reads == expected
+        assert read_keys(ss) == read_keys(SampleSet(solutions=expected))
+
+        # Every reachable TRUE-count, not only the annealer's reads.
+        _, _, logical_vars, _, _, backend = args
+        bits = np.random.default_rng(14).integers(0, 2, size=(300, len(logical_vars)))
+        energies = np.random.default_rng(15).integers(0, 3, size=300).astype(float)
+        got = real(env, program, logical_vars, bits.astype(np.int8), energies, backend)
+        assert got == from_assignment_reads(env, program, logical_vars, bits, energies, backend)
 
 
 class TestProfiles:

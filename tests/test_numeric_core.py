@@ -1,6 +1,6 @@
 """The sparse + batched numeric-core contract (see docs/numerics.md).
 
-Four groups:
+Five groups:
 
 * layout round-trips — ``to_sparse``/``from_sparse`` against the dense
   layout, for both QUBO and Ising forms;
@@ -9,6 +9,10 @@ Four groups:
 * the equivalence matrix — dense / sparse / fused-batch annealing with
   identical seeds produce bit-identical ``SampleResult``s (dyadic
   coefficients, so field sums are exact);
+* the sweep-kernel oracle — the blocked kernel against a verbatim copy
+  of the per-class loop it replaced, on ICE-noised physical models and
+  ``normal()`` models, bit for bit in samples, energies, generator
+  state and per-class fields;
 * the shared caps and heuristics — ``EXHAUSTIVE_SEARCH_LIMIT`` is the
   one enumeration cap, ``preferred_representation`` the one density
   heuristic, and the new telemetry families are canonical.
@@ -23,6 +27,10 @@ from repro.annealing.sampler import (
     AnnealSchedule,
     ExactIsingSolver,
     SimulatedAnnealingSampler,
+    _blocked_order,
+    _build_coupling,
+    _class_fields,
+    _class_uniforms,
     _independent_classes,
 )
 from repro.classical import BATCH_ENUMERATION_BITS, EXHAUSTIVE_LIMIT, ExactQUBOSolver
@@ -269,6 +277,259 @@ class TestEquivalenceMatrix:
             sampler.sample_batch(models, rngs=[])
         with pytest.raises(ValueError, match="one variable order per model"):
             sampler.sample_batch(models, seed=0, variables=[])
+
+
+# ----------------------------------------------------------------------
+# The blocked sweep kernel against the per-class loop it replaced
+# ----------------------------------------------------------------------
+def oracle_sweeps(S, h, coupling, classes, betas, draw) -> None:
+    """The per-class Metropolis loop the blocked kernel replaced, verbatim.
+
+    ``draw(k)`` returns class ``k``'s ``(num_reads, m_k)`` uniforms.
+    """
+    dense = isinstance(coupling, np.ndarray)
+    if dense:
+        # Pre-slice the per-class column blocks once; each sweep is then
+        # one BLAS product per class against a contiguous block.
+        operators = [np.ascontiguousarray(coupling[:, cls]) for cls in classes]
+    else:
+        # CSR row blocks: fields come from J_sym[cls] @ S.T, whose cost
+        # scales with the couplers of the class, not n**2.
+        operators = [coupling[cls] for cls in classes]
+    for beta in betas:
+        for k, cls in enumerate(classes):
+            if dense:
+                fields = S @ operators[k] + h[cls]
+            else:
+                fields = (operators[k] @ S.T).T + h[cls]
+            delta = -2.0 * S[:, cls] * fields
+            accept = (delta <= 0.0) | (
+                draw(k) < np.exp(np.clip(-delta * beta, -700, 0))
+            )
+            S[:, cls] = np.where(accept, -S[:, cls], S[:, cls])
+
+
+def oracle_sample(model, num_reads, rng, schedule, representation):
+    """``SimulatedAnnealingSampler.sample``'s steps around the oracle loop."""
+    order = model.variables
+    chosen = preferred_representation(len(order), len(model.J), representation)
+    h, J_sym = _build_coupling(model, order, chosen)
+    classes = _independent_classes(J_sym)
+    spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, len(order)))
+    S = spins.astype(np.float64)
+    oracle_sweeps(
+        S,
+        h,
+        J_sym,
+        classes,
+        schedule.betas(),
+        lambda k: rng.random((num_reads, classes[k].size)),
+    )
+    return S.astype(np.int8), model.energies(S, order, representation=chosen)
+
+
+def oracle_sample_batch(models, num_reads, rngs, schedule, representation):
+    """``SimulatedAnnealingSampler.sample_batch``'s fusion around the oracle loop.
+
+    One block-diagonal problem, classes merged rank by rank, and each
+    class's draws concatenated from every program's own stream.
+    """
+    orders = [m.variables for m in models]
+    sizes = [len(order) for order in orders]
+    offsets = np.cumsum([0] + sizes[:-1])
+    built = [_build_coupling(m, o, representation) for m, o in zip(models, orders)]
+    h = np.concatenate([b[0] for b in built])
+    if representation == "sparse":
+        import scipy.sparse as sp
+
+        J = sp.block_diag([b[1] for b in built], format="csr")
+        J.sort_indices()
+    else:
+        J = np.zeros((sum(sizes), sum(sizes)))
+        for (_, block), off, n in zip(built, offsets, sizes):
+            J[off : off + n, off : off + n] = block
+    per_program = [_independent_classes(b[1]) for b in built]
+    classes, segments = [], []
+    for k in range(max(len(c) for c in per_program)):
+        parts = [(i, c[k]) for i, c in enumerate(per_program) if k < len(c)]
+        classes.append(np.concatenate([cls + offsets[i] for i, cls in parts]))
+        segments.append([(i, cls.size) for i, cls in parts])
+    S = np.concatenate(
+        [
+            rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, n)).astype(np.float64)
+            for rng, n in zip(rngs, sizes)
+        ],
+        axis=1,
+    )
+    oracle_sweeps(
+        S,
+        h,
+        J,
+        classes,
+        schedule.betas(),
+        lambda k: np.concatenate(
+            [rngs[i].random((num_reads, m)) for i, m in segments[k]], axis=1
+        ),
+    )
+    blocks = [S[:, off : off + n] for off, n in zip(offsets, sizes)]
+    return [
+        (block.astype(np.int8), m.energies(block, o, representation=representation))
+        for m, o, block in zip(models, orders, blocks)
+    ]
+
+
+def normal_ising(rng, n, density) -> IsingModel:
+    """``normal()`` coefficients: field sums round, unlike the dyadic models."""
+    h = {f"s{i:03d}": float(rng.normal()) for i in range(n)}
+    J = {
+        (f"s{i:03d}", f"s{j:03d}"): float(rng.normal())
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    }
+    return IsingModel(h=h, J=J)
+
+
+@pytest.fixture(scope="module")
+def noisy_physical_models():
+    """ICE-noised physical models of three programs on the Advantage profile.
+
+    Sizes 37, 113 and 138 spins: one below and two above the 64-spin
+    dense/sparse threshold.  Each comes with the device's adaptive
+    schedule, shortened to 48 sweeps.
+    """
+    from repro.annealing import AnnealingDevice, AnnealingDeviceProfile
+    from repro.experiments.scaling import cover_study, sat_study, vertex_study
+    from repro.qubo.ising import qubo_to_ising
+
+    device = AnnealingDevice(AnnealingDeviceProfile.advantage41())
+    wanted = {"min-set-cover 8el/8s", "3-sat 5v/8c", "clique-cover 9v"}
+    points = vertex_study(triangles=(3,)) + cover_study(sizes=((8, 8),)) + sat_study(
+        sizes=((5, 8),)
+    )
+    out = {}
+    for point in points:
+        name = f"{point.problem} {point.label}"
+        if name not in wanted:
+            continue
+        program = point.instance.build_env().to_qubo()
+        rng = np.random.default_rng(3)
+        embedding = device.embed(program, rng=rng)
+        physical, _ = device._embedded_model(qubo_to_ising(program.qubo), embedding)
+        noisy = device.profile.noise.apply(physical, rng)
+        scale = noisy.max_abs_coefficient()
+        out[name] = (
+            noisy,
+            AnnealSchedule(beta_min=0.05 / scale, beta_max=10.0 / scale, num_sweeps=48),
+        )
+    assert set(out) == wanted
+    return out
+
+
+def kernel_models(noisy_physical_models):
+    """The noisy physical models plus ``normal()`` models of 20–130 spins."""
+    rng = np.random.default_rng(11)
+    models = dict(noisy_physical_models)
+    for n, density in ((20, 0.3), (50, 0.1), (90, 0.05), (130, 0.03)):
+        models[f"normal {n}"] = (normal_ising(rng, n, density), AnnealSchedule(num_sweeps=48))
+    return models
+
+
+def assert_same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@needs_scipy
+class TestSweepKernelOracle:
+    """Seeded samples equal the per-class loop's, bit for bit.
+
+    The coefficients are not binary fractions, so field sums round: a
+    kernel that summed in another order would move the fields by an ulp,
+    which :meth:`test_class_fields_match_the_per_class_expressions`
+    sees even where no sample moves.
+    """
+
+    @pytest.mark.parametrize("representation", ["dense", "sparse"])
+    def test_sample_matches_oracle(self, noisy_physical_models, representation):
+        for name, (model, schedule) in kernel_models(noisy_physical_models).items():
+            sampler = SimulatedAnnealingSampler(schedule)
+            rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
+            got = sampler.sample(model, num_reads=24, rng=rng, representation=representation)
+            spins, energies = oracle_sample(model, 24, oracle_rng, schedule, representation)
+            assert np.array_equal(got.spins, spins), name
+            assert_same_bits(got.energies, energies)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, name
+
+    @pytest.mark.parametrize("representation", ["dense", "sparse"])
+    def test_sample_batch_matches_the_fused_oracle(self, noisy_physical_models, representation):
+        models = [m for m, _ in noisy_physical_models.values()]
+        models += [normal_ising(np.random.default_rng(n), n, 0.1) for n in (30, 70)]
+        schedule = AnnealSchedule(beta_min=0.05, beta_max=10.0, num_sweeps=32)
+        rngs = [np.random.default_rng(40 + i) for i in range(len(models))]
+        oracle_rngs = [np.random.default_rng(40 + i) for i in range(len(models))]
+        fused = SimulatedAnnealingSampler(schedule).sample_batch(
+            models, num_reads=16, rngs=rngs, representation=representation
+        )
+        expected = oracle_sample_batch(models, 16, oracle_rngs, schedule, representation)
+        for i, (result, (spins, energies)) in enumerate(zip(fused, expected)):
+            assert np.array_equal(result.spins, spins), i
+            assert_same_bits(result.energies, energies)
+            assert rngs[i].bit_generator.state == oracle_rngs[i].bit_generator.state, i
+
+    def test_sparse_sample_batch_matches_one_oracle_call_per_program(
+        self, noisy_physical_models
+    ):
+        """Fused CSR rows hold each program's entries in the solo order, so
+        the fused fields, and samples, are the solo ones even where sums
+        round (a fused dense product sums over the zeros between blocks,
+        which BLAS may group differently)."""
+        models = [m for m, _ in noisy_physical_models.values()]
+        models += [normal_ising(np.random.default_rng(n), n, 0.1) for n in (30, 70)]
+        schedule = AnnealSchedule(beta_min=0.05, beta_max=10.0, num_sweeps=32)
+        rngs = [np.random.default_rng(40 + i) for i in range(len(models))]
+        fused = SimulatedAnnealingSampler(schedule).sample_batch(
+            models, num_reads=16, rngs=rngs, representation="sparse"
+        )
+        for i, (model, result) in enumerate(zip(models, fused)):
+            oracle_rng = np.random.default_rng(40 + i)
+            spins, energies = oracle_sample(model, 16, oracle_rng, schedule, "sparse")
+            assert np.array_equal(result.spins, spins), i
+            assert_same_bits(result.energies, energies)
+            assert rngs[i].bit_generator.state == oracle_rng.bit_generator.state, i
+
+    @pytest.mark.parametrize("representation", ["dense", "sparse"])
+    def test_class_fields_match_the_per_class_expressions(
+        self, noisy_physical_models, representation
+    ):
+        rng = np.random.default_rng(5)
+        for name, (model, _) in kernel_models(noisy_physical_models).items():
+            h, J_sym = _build_coupling(model, model.variables, representation)
+            classes = _independent_classes(J_sym)
+            perm, bounds = _blocked_order(classes)
+            assert sorted(perm.tolist()) == list(range(len(model.variables)))
+            S = rng.choice(np.array([-1.0, 1.0]), size=(100, len(model.variables)))
+            T = np.ascontiguousarray(S.T[perm])
+            fields = _class_fields(J_sym, h, classes)
+            for k, cls in enumerate(classes):
+                assert np.array_equal(T[bounds[k][0] : bounds[k][1]], S[:, cls].T)
+                if representation == "dense":
+                    # The contiguous column block, as the per-class loop
+                    # sliced it: J_sym[:, cls] alone is column-major, and
+                    # BLAS rounds that product differently.
+                    expected = S @ np.ascontiguousarray(J_sym[:, cls]) + h[cls]
+                else:
+                    expected = (J_sym[cls] @ S.T).T + h[cls]
+                assert_same_bits(fields(k, T).T, expected)
+
+    def test_one_sweep_draws_what_the_per_class_calls_drew(self):
+        classes = [np.array([0, 3, 5]), np.array([1, 4]), np.array([2])]
+        _, bounds = _blocked_order(classes)
+        flat = np.random.default_rng(8).random(7 * 6)
+        per_class = np.random.default_rng(8)
+        for k, u in enumerate(_class_uniforms(flat, 7, bounds)):
+            assert_same_bits(u, per_class.random((7, classes[k].size)))
 
 
 # ----------------------------------------------------------------------
