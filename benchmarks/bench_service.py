@@ -9,8 +9,9 @@ memoizing request path:
   hits the result cache, so the service answers without compiling or
   sampling anything.
 
-The headline claim is the warm/cold throughput ratio — the gate below
-asserts the **≥5× floor** the service was built for — and the hit must
+The headline claim is the warm/cold ratio of median per-request times —
+the gate below asserts the **≥5× floor** the service was built for —
+and the hit must
 be *byte-identical* to the miss that populated it: same assignment,
 same energy, same winner (the service returns the stored
 ``PortfolioResult`` object itself).
@@ -24,6 +25,7 @@ Benchmarks the warm-hit request path as the kernel.
 
 import json
 import os
+import statistics
 import time
 
 from repro.problems import MinVertexCover, circulant_graph
@@ -55,6 +57,20 @@ def _bench_config() -> ServiceConfig:
     )
 
 
+def _median_call(call, repeats: int) -> tuple:
+    """Median wall time of ``repeats`` calls, and the last call's result.
+
+    The median of per-call times, not the loop mean: one call stalled by
+    the scheduler or the host cannot drag the ratio under the floor.
+    """
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), out
+
+
 def _solution_bytes(outcome) -> bytes:
     """A canonical byte serialization of an outcome's solution."""
     return json.dumps(
@@ -75,25 +91,25 @@ def test_warm_hit_vs_cold_compile(benchmark, full_scale):
     for n in SIZES:
         instance = MinVertexCover(circulant_graph(n))
         with ServiceClient(_bench_config()) as client:
-            t0 = time.perf_counter()
-            for _ in range(COLD_REPEATS):
-                cold = client.solve(
+            cold_s, cold = _median_call(
+                lambda: client.solve(
                     instance, tenant="bench", backends="classical", seed=7,
                     use_cache=False,
-                )
-            cold_s = (time.perf_counter() - t0) / COLD_REPEATS
+                ),
+                COLD_REPEATS,
+            )
 
             # Prime both tiers, then measure pure fingerprint hits.
             miss = client.solve(
                 instance, tenant="bench", backends="classical", seed=7
             )
             assert not miss.cache_hit
-            t0 = time.perf_counter()
-            for _ in range(WARM_REPEATS):
-                hit = client.solve(
+            warm_s, hit = _median_call(
+                lambda: client.solve(
                     instance, tenant="bench", backends="classical", seed=7
-                )
-            warm_s = (time.perf_counter() - t0) / WARM_REPEATS
+                ),
+                WARM_REPEATS,
+            )
             assert hit.cache_hit and hit.compile_hit
 
             # Byte-identical: the hit serves the miss's stored result.

@@ -394,7 +394,7 @@ def _compile(args) -> None:
     if stats.get("disk_enabled"):
         print(
             f"         disk {stats['disk_hits']} hits / {stats['disk_misses']} misses"
-            + (f", {stats['disk_errors']} write errors" if stats["disk_errors"] else "")
+            + (f", {stats['disk_errors']} errors" if stats["disk_errors"] else "")
         )
     else:
         print("         disk tier disabled")

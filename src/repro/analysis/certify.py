@@ -42,12 +42,8 @@ code family (catalog in ``docs/analysis.md``).
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .. import telemetry
@@ -61,10 +57,12 @@ from ..compile.validate import (
     verify_compiled_program,
 )
 from ..compile.truthtable import MAX_UNIQUE_VARIABLES
-from ..qubo.model import QUBO
+from ..qubo.model import QUBO, qubo_fingerprint
+from ..store import JSONStore, content_hash, finite_float
 from .diagnostics import Diagnostic, RuleInfo, Severity
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..compile.pipeline import PipelineConfig
     from ..core.env import Env
     from ..core.types import Constraint
 
@@ -76,6 +74,7 @@ __all__ = [
     "ConstraintCertificate",
     "ProgramCertificate",
     "certificate_diagnostics",
+    "certificate_store",
     "certify_program",
     "check_energy",
     "qubo_fingerprint",
@@ -342,30 +341,6 @@ def _opt_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def qubo_fingerprint(qubo: QUBO) -> str:
-    """Content hash of a QUBO, stable under term ordering.
-
-    For whole compiled programs prefer
-    :attr:`~repro.compile.program.CompiledProgram.fingerprint`, which
-    memoizes this hash on the artifact — certification and the
-    service-layer result cache (:mod:`repro.service`) share that one
-    computation instead of re-hashing per call site.
-    """
-    pruned = qubo.pruned()
-    payload = {
-        "offset": round(pruned.offset, 9),
-        "linear": sorted(
-            (v, round(a, 9)) for v, a in pruned.linear.items()
-        ),
-        "quadratic": sorted(
-            (min(u, v), max(u, v), round(b, 9))
-            for (u, v), b in pruned.quadratic.items()
-        ),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _ancilla_sort_key(name: str) -> tuple:
     """Sort ancilla names numerically (``_qanc9`` before ``_qanc10``)."""
     suffix = name[len(ANCILLA_PREFIX):] if name.startswith(ANCILLA_PREFIX) else ""
@@ -395,82 +370,52 @@ def _profile_cache_key(
         "scale": round(scale, 9),
         "qubo": qubo_fingerprint(qubo.relabeled(mapping)),
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return content_hash(payload)
 
 
-class CertificateStore:
+#: The energy bands a cached profile carries besides its ``method``.
+_BANDS = ("valid_min", "valid_max", "invalid_min", "invalid_max")
+
+
+class CertificateStore(JSONStore):
     """On-disk cache of per-constraint energy profiles.
 
-    Lives in a ``certs/`` subdirectory of the compiler's template-cache
-    directory — same durability model as
-    :class:`~repro.compile.pipeline.store.TemplateStore`: schema-versioned
-    JSON entries keyed by content hash, written atomically, and deleted
-    (then recomputed) on any decoding doubt rather than trusted.
+    One ``<key>.cert.json`` entry per profile key, in the ``certs/``
+    directory that :func:`certificate_store` places beside the
+    compiler's template store.  An entry decodes only with a
+    ``truth-table`` or ``symmetric`` method and bands that are ``None``
+    or finite floats; anything else is discarded and recomputed.
     """
 
-    #: Stored-entry fields carrying the cached energy profile.
-    _FIELDS = ("method", "valid_min", "valid_max", "invalid_min", "invalid_max")
+    schema = CERT_SCHEMA_VERSION
+    pattern = "*.cert.json"
 
-    def __init__(self, directory: str | os.PathLike) -> None:
-        """Open (creating if needed) the store rooted at ``directory``."""
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.errors = 0
+    def entry_name(self, key: str) -> str:
+        """``<key>.cert.json``."""
+        return f"{key}.cert.json"
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.cert.json"
+    def encode(self, profile: dict) -> dict:
+        """The entry fields for one energy profile."""
+        return {f: profile[f] for f in ("method", *_BANDS)}
 
-    def get(self, key: str) -> Optional[dict]:
-        """The cached profile for ``key``, or ``None`` (counted a miss)."""
-        path = self._path(key)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError):
-            self.errors += 1
-            self._discard(path)
-            self.misses += 1
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != CERT_SCHEMA_VERSION
-            or data.get("key") != key
-            or not all(f in data for f in self._FIELDS)
-        ):
-            self.errors += 1
-            self._discard(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return {f: data[f] for f in self._FIELDS}
+    def decode(self, entry: dict, key: str) -> dict:
+        """The validated profile; raises on an unknown method or a bad band."""
+        if entry["method"] not in ("truth-table", "symmetric"):
+            raise ValueError(f"bad profile method: {entry['method']!r}")
+        profile = {"method": entry["method"]}
+        for band in _BANDS:
+            profile[band] = None if entry[band] is None else finite_float(entry[band])
+        return profile
 
-    def put(self, key: str, profile: dict) -> None:
-        """Persist ``profile`` (a :data:`_FIELDS` mapping) atomically."""
-        entry = {"schema": CERT_SCHEMA_VERSION, "key": key}
-        entry.update({f: profile[f] for f in self._FIELDS})
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, self._path(key))
-        except OSError:
-            self.errors += 1
-            self._discard(Path(tmp))
 
-    def _discard(self, path: Path) -> None:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - unlink on a live FS
-            pass
+def certificate_store(config: "PipelineConfig") -> Optional[CertificateStore]:
+    """The certificate store beside ``config``'s template store.
 
-    def __len__(self) -> int:
-        """Number of certificate entries currently on disk."""
-        return sum(1 for _ in self.directory.glob("*.cert.json"))
+    ``None`` when ``config`` leaves the compiler's disk tier off.
+    """
+    if not config.disk_enabled:
+        return None
+    return CertificateStore(config.resolved_cache_dir() / "certs")
 
 
 def _certify_constraint(
@@ -534,25 +479,12 @@ def _certify_constraint(
         )
 
     key = _profile_cache_key(constraint, qubo, tuple(ancillas), scale)
-    cached = store.get(key) if store is not None else None
-    if cached is not None:
-        return ConstraintCertificate(
-            index=index,
-            soft=constraint.soft,
-            scale=scale,
-            method=str(cached["method"]),
-            valid_min=_opt_float(cached["valid_min"]),
-            valid_max=_opt_float(cached["valid_max"]),
-            invalid_min=_opt_float(cached["invalid_min"]),
-            invalid_max=_opt_float(cached["invalid_max"]),
-            ancillas=tuple(ancillas),
-            cache_key=key,
-            cached=True,
-        )
-
-    profile = _energy_profile(constraint, qubo, tuple(ancillas))
-    if store is not None and profile["method"] != "inconclusive":
-        store.put(key, profile)
+    profile = store.load(key) if store is not None else None
+    cached = profile is not None
+    if not cached:
+        profile = _energy_profile(constraint, qubo, tuple(ancillas))
+        if store is not None and profile["method"] != "inconclusive":
+            store.store(key, profile)
     return ConstraintCertificate(
         index=index,
         soft=constraint.soft,
@@ -564,6 +496,7 @@ def _certify_constraint(
         invalid_max=profile["invalid_max"],
         ancillas=tuple(ancillas),
         cache_key=key,
+        cached=cached,
         problems=tuple(profile.get("problems", ())),
     )
 

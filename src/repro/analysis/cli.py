@@ -173,7 +173,7 @@ def run_certify(args: argparse.Namespace) -> int:
         ValidationCapExceeded,
         verify_compiled_program,
     )
-    from .certify import CertificateStore, certificate_diagnostics, certify_program
+    from .certify import certificate_diagnostics, certificate_store, certify_program
 
     instance = _build_problem(args.problem, args.n, args.seed)
     env = instance.build_env()
@@ -183,11 +183,9 @@ def run_certify(args: argparse.Namespace) -> int:
         print(f"repro certify: error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
 
-    store = None
-    if not args.no_cache:
-        config = PipelineConfig(cache_dir=args.cache_dir)
-        if config.disk_enabled:
-            store = CertificateStore(config.resolved_cache_dir() / "certs")
+    store = (
+        None if args.no_cache else certificate_store(PipelineConfig(cache_dir=args.cache_dir))
+    )
 
     cert = certify_program(
         env, program, fallback=not args.no_fallback, store=store

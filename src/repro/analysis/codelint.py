@@ -94,6 +94,7 @@ DOCSTRING_MODULES: tuple[str, ...] = (
     "service/service.py",
     "service/worker.py",
     "service/client.py",
+    "store.py",
     "__main__.py",
 )
 

@@ -7,7 +7,6 @@ assemble); :func:`compile_program` is the public entry point and
 """
 
 from .cache import (
-    QUBOCache,
     Template,
     build_strategy_template,
     build_template,
@@ -63,7 +62,6 @@ __all__ = [
     "MAX_ANCILLAS",
     "PassProvenance",
     "PipelineConfig",
-    "QUBOCache",
     "SynthesisResult",
     "Template",
     "TemplateStore",

@@ -1,4 +1,4 @@
-"""Symmetric-constraint QUBO templates and the in-memory template cache.
+"""Symmetric-constraint QUBO templates: the algebra of the template cache.
 
 The paper's timing discussion (Section VIII-C) observes that the reference
 implementation "redundantly computes QUBOs for symmetric constraints
@@ -14,22 +14,18 @@ variables are matched to template slots after sorting by (multiplicity,
 name) — any variables of equal multiplicity are interchangeable by
 symmetry of the TRUE-count.
 
-Two consumers build on the primitives here:
-
-* :class:`QUBOCache` — the original per-compilation in-memory cache,
-  still used directly by tests and diagnostics;
-* :mod:`repro.compile.pipeline` — the staged compiler, which calls
-  :func:`build_template` / :func:`instantiate_template` itself so it can
-  layer the in-memory tier above the on-disk
-  :class:`~repro.compile.pipeline.store.TemplateStore` and synthesize
-  templates in parallel.
+The staged compiler (:mod:`repro.compile.pipeline`) is the one consumer.
+Its synthesize pass keeps the in-memory cache, a dict of templates keyed
+by :func:`template_key`, above the on-disk
+:class:`~repro.compile.pipeline.store.TemplateStore`; it calls
+:func:`build_template` / :func:`instantiate_template` itself, so it can
+synthesize templates in parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .. import telemetry
 from ..core.symmetry import cache_key
 from ..core.types import Constraint, SelectionSet, Var, VariableCollection
 from ..qubo.model import QUBO
@@ -40,10 +36,6 @@ from .synthesize import SynthesisResult, synthesize_constraint_qubo
 #: template-local ancillas.
 SLOT = "_slot{}"
 ANC = "_tanc{}"
-
-# Backward-compatible private aliases (pre-pipeline spelling).
-_SLOT = SLOT
-_ANC = ANC
 
 
 @dataclass(frozen=True)
@@ -64,10 +56,6 @@ class Template:
     #: :mod:`repro.compile.encodings`).  Part of the cache identity:
     #: one strategy's template must never be served for another.
     strategy: str = "penalty"
-
-
-# Backward-compatible private alias.
-_Template = Template
 
 
 def template_key(
@@ -167,53 +155,6 @@ def instantiate_template(
     )
 
 
-@dataclass
-class QUBOCache:
-    """Per-compilation cache of constraint QUBO templates.
-
-    Hard and soft constraints cache separately (soft compilation requests
-    exact penalties; see :mod:`repro.compile.synthesize`).  Statistics
-    (`hits`, `misses`) feed the compile-cache ablation bench.
-    """
-
-    enabled: bool = True
-    hits: int = 0
-    misses: int = 0
-    _templates: dict[tuple, Template] = field(default_factory=dict)
-
-    def synthesize(
-        self, constraint: Constraint, ancilla_namer, exact_penalty: bool = False
-    ) -> SynthesisResult:
-        """Synthesize (or recall) the QUBO for ``constraint``.
-
-        ``ancilla_namer`` yields fresh program-unique ancilla names; each
-        cache *use* gets its own ancillas (ancillas are never shared
-        between constraints).
-        """
-        if not self.enabled:
-            self.misses += 1
-            telemetry.count("compile.cache.misses")
-            return synthesize_constraint_qubo(
-                constraint, ancilla_namer=ancilla_namer, exact_penalty=exact_penalty
-            )
-
-        key = template_key(constraint, exact_penalty)
-        template = self._templates.get(key)
-        if template is None:
-            self.misses += 1
-            telemetry.count("compile.cache.misses")
-            template = build_template(constraint, exact_penalty)
-            self._templates[key] = template
-        else:
-            self.hits += 1
-            telemetry.count("compile.cache.hits")
-
-        return instantiate_template(template, constraint, ancilla_namer)
-
-    def __len__(self) -> int:
-        return len(self._templates)
-
-
 def _sorted_unique(constraint: Constraint) -> list[tuple[int, Var]]:
     """Unique variables sorted by (multiplicity, name) — the slot order."""
     counts = constraint.collection.counts
@@ -238,8 +179,3 @@ def slot_mapping(constraint: Constraint) -> dict[str, str]:
         SLOT.format(i): var.name
         for i, (_mult, var) in enumerate(_sorted_unique(constraint))
     }
-
-
-# Backward-compatible private aliases.
-_canonical_constraint = canonical_constraint
-_slot_mapping = slot_mapping

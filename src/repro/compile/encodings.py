@@ -382,15 +382,6 @@ class EncodingCandidate:
     verified: bool | None = None
     source: str = "synthesized"
 
-    def as_result(self) -> SynthesisResult:
-        """The fragment as a :class:`~repro.compile.synthesize.SynthesisResult`."""
-        return SynthesisResult(
-            qubo=self.qubo,
-            ancillas=self.ancillas,
-            used_closed_form=self.used_closed_form,
-            exact_penalty=self.exact_penalty,
-        )
-
     def summary(self) -> "CandidateSummary":
         """The serializable provenance slice of this candidate."""
         return CandidateSummary(

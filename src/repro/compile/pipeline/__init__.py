@@ -124,21 +124,16 @@ def _certify_post_pass(
     ``compile.certify.*`` counters, never changing the compiled output.
     """
     from ...analysis.certify import (
-        CertificateStore,
         CertificationError,
         certificate_diagnostics,
+        certificate_store,
         certify_program,
     )
     from ...analysis.diagnostics import Severity
 
     t0 = perf_counter()
     with telemetry.span("compile.pass.certify"):
-        store = (
-            CertificateStore(config.resolved_cache_dir() / "certs")
-            if config.disk_enabled
-            else None
-        )
-        certificate = certify_program(env, program, store=store)
+        certificate = certify_program(env, program, store=certificate_store(config))
         telemetry.count("compile.certify.programs")
         if certificate.verdict != "pass":
             telemetry.count(f"compile.certify.{certificate.verdict}")

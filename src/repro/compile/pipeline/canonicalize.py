@@ -80,11 +80,6 @@ class CanonicalProgram:
     skipped_soft: tuple[int, ...]
     num_constraints: int
 
-    @property
-    def num_members(self) -> int:
-        """Constraints that reached a class (excludes skipped softs)."""
-        return sum(c.multiplicity for c in self.classes)
-
 
 def canonicalize(env: "Env", config: PipelineConfig) -> CanonicalProgram:
     """Run pass 1 on ``env`` under ``config``.

@@ -72,15 +72,6 @@ class SynthesisPlan:
             counts[item.tier] += 1
         return counts
 
-    def candidate_count(self) -> int:
-        """Total (class × strategy) candidates planned across all items."""
-        return sum(len(item.strategies) for item in self.items)
-
-    @property
-    def parallelizable(self) -> tuple[WorkItem, ...]:
-        """The MILP-bound items worth shipping to worker processes."""
-        return tuple(item for item in self.items if item.tier == TIER_MILP)
-
 
 def classify(cls: ConstraintClass) -> str:
     """Advisory synthesis tier for one template class."""

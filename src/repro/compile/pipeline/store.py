@@ -7,32 +7,20 @@ of the key.  A second compilation of any problem sharing constraint
 classes with an earlier one (the common case: one-hot rows, vertex-cover
 edges, 3-SAT clauses) then skips LP/MILP synthesis entirely.
 
-The store is deliberately paranoid about its own contents: cache files
-are written by earlier processes, possibly by earlier *versions*, and
-possibly interrupted mid-write.  Every load fully validates structure,
-schema version, key echo, name shapes, and float finiteness; any
-deviation deletes the offending file and reports a miss so the template
-is simply resynthesized.  A corrupt cache can cost time, never
-correctness — and it must never crash a compilation.
-
-Writes are atomic (temp file + :func:`os.replace`) and best-effort: an
-unwritable cache directory degrades to in-memory-only operation.
+:class:`TemplateStore` is a codec over :class:`repro.store.JSONStore`,
+which owns the files: atomic writes, schema and key-echo checks, and
+deleting whatever it cannot read.  The codec adds the template's own
+checks — slot/ancilla name shapes, float finiteness, flag types and
+the strategy echo — so a bad entry is resynthesized and can never crash a
+compilation or change its output.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-import os
 import re
-import shutil
-import tempfile
-from dataclasses import dataclass, field
-from pathlib import Path
 
-from ... import telemetry
 from ...qubo.model import QUBO
+from ...store import JSONStore, content_hash, finite_float
 from ..cache import Template
 
 #: Bump whenever the on-disk payload layout or the synthesized-template
@@ -42,8 +30,6 @@ from ..cache import Template
 SCHEMA_VERSION = 2
 
 _SLOT_OR_ANC = re.compile(r"_slot\d+$|_tanc\d+$")
-
-_STRATEGY_NAME = re.compile(r"^[a-z][a-z0-9-]*$")
 
 
 def _key_payload(key: tuple) -> dict:
@@ -57,16 +43,6 @@ def _key_payload(key: tuple) -> dict:
     }
 
 
-def _filename(key: tuple) -> str:
-    """Content-addressed filename for ``key`` (stable across processes)."""
-    canon = json.dumps(
-        {"schema": SCHEMA_VERSION, **_key_payload(key)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:32] + ".json"
-
-
 def _checked_name(name: object) -> str:
     """Validate a stored variable name (slot or template ancilla)."""
     if not isinstance(name, str) or not _SLOT_OR_ANC.match(name):
@@ -74,143 +50,31 @@ def _checked_name(name: object) -> str:
     return name
 
 
-def _checked_float(value: object) -> float:
-    """Validate a stored coefficient: a real, finite number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"bad coefficient: {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"non-finite coefficient: {value!r}")
-    return out
-
-
-@dataclass
-class TemplateStore:
+class TemplateStore(JSONStore):
     """Schema-versioned directory of synthesized QUBO templates.
 
-    ``directory`` is created lazily on first write.  ``hits`` / ``misses``
-    / ``errors`` count loads that succeeded, loads that found nothing (or
-    found garbage), and writes that failed, for cache-statistics output.
+    One ``<32 hex>.json`` entry per template key.  ``hits`` / ``misses``
+    feed ``compile.disk_cache.*`` and the compiled program's
+    ``cache_stats``; ``errors`` counts discarded entries and failed
+    writes.
     """
 
-    directory: Path
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    _ready: bool = field(default=False, repr=False)
+    schema = SCHEMA_VERSION
+    pattern = "*.json"
 
-    def __post_init__(self) -> None:
-        """Normalize ``directory`` to a Path (string args accepted)."""
-        self.directory = Path(self.directory)
+    def entry_name(self, key: tuple) -> str:
+        """Content-addressed filename for ``key`` (stable across processes)."""
+        canon = {"schema": SCHEMA_VERSION, **_key_payload(key)}
+        return content_hash(canon, compact=True)[:32] + ".json"
 
-    def path_for(self, key: tuple) -> Path:
-        """The cache file that would hold ``key``'s template."""
-        return self.directory / _filename(key)
+    def key_echo(self, key: tuple) -> dict:
+        """The key's JSON form, echoed into each entry."""
+        return _key_payload(key)
 
-    def load(self, key: tuple) -> Template | None:
-        """Return the stored template for ``key``, or None on any doubt.
-
-        Unreadable, truncated, mis-schemaed, or otherwise invalid entries
-        are deleted so the slot is clean for the resynthesized template.
-        """
-        path = self.path_for(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.misses += 1
-            telemetry.count("compile.disk_cache.misses")
-            return None
-        except (OSError, UnicodeDecodeError):
-            # Unreadable entry (permissions, a directory squatting on the
-            # name, binary garbage, I/O error): clear it out and
-            # resynthesize.
-            self._discard(path)
-            self.misses += 1
-            telemetry.count("compile.disk_cache.misses")
-            return None
-
-        try:
-            template = self._decode(json.loads(raw), key)
-        except (ValueError, TypeError, KeyError):
-            self._discard(path)
-            self.misses += 1
-            telemetry.count("compile.disk_cache.misses")
-            return None
-
-        self.hits += 1
-        telemetry.count("compile.disk_cache.hits")
-        return template
-
-    def store(self, key: tuple, template: Template) -> bool:
-        """Persist ``template`` under ``key`` (atomic, best-effort).
-
-        Returns False — and counts an error — when the directory cannot
-        be written; the compilation proceeds without persistence.
-        """
-        payload = self._encode(key, template)
-        try:
-            if not self._ready:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._ready = True
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                os.replace(tmp, self.path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            self.errors += 1
-            return False
-        return True
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns how many were removed."""
-        removed = 0
-        try:
-            entries = list(self.directory.iterdir())
-        except OSError:
-            return 0
-        for path in entries:
-            if path.suffix == ".json":
-                self._discard(path)
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for p in self.directory.iterdir() if p.suffix == ".json")
-        except OSError:
-            return 0
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/error counters as a plain dict (for ``cache_stats``)."""
-        return {"hits": self.hits, "misses": self.misses, "errors": self.errors}
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        """Remove a bad entry, whatever it turned out to be."""
-        try:
-            path.unlink()
-        except IsADirectoryError:
-            shutil.rmtree(path, ignore_errors=True)
-        except OSError:
-            if path.is_dir():
-                shutil.rmtree(path, ignore_errors=True)
-
-    @staticmethod
-    def _encode(key: tuple, template: Template) -> dict:
-        """The JSON payload for one template (deterministic ordering)."""
+    def encode(self, template: Template) -> dict:
+        """The entry fields for one template (deterministic ordering)."""
         qubo = template.qubo
         return {
-            "schema": SCHEMA_VERSION,
-            "key": _key_payload(key),
             "offset": qubo.offset,
             "linear": sorted(qubo.linear.items()),
             "quadratic": sorted(
@@ -222,40 +86,24 @@ class TemplateStore:
             "strategy": template.strategy,
         }
 
-    @staticmethod
-    def _decode(payload: object, key: tuple) -> Template:
+    def decode(self, entry: dict, key: tuple) -> Template:
         """Rebuild a Template, validating everything; raises on any doubt."""
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
-        if payload.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"schema mismatch: {payload.get('schema')!r}")
-        if payload.get("key") != _key_payload(key):
-            raise ValueError("key echo does not match requested key")
+        qubo = QUBO(offset=finite_float(entry["offset"]))
+        for name, coeff in entry["linear"]:
+            qubo.add_linear(_checked_name(name), finite_float(coeff))
+        for a, b, coeff in entry["quadratic"]:
+            qubo.add_quadratic(_checked_name(a), _checked_name(b), finite_float(coeff))
 
-        qubo = QUBO(offset=_checked_float(payload["offset"]))
-        for entry in payload["linear"]:
-            name, coeff = entry
-            qubo.add_linear(_checked_name(name), _checked_float(coeff))
-        for entry in payload["quadratic"]:
-            a, b, coeff = entry
-            qubo.add_quadratic(
-                _checked_name(a), _checked_name(b), _checked_float(coeff)
-            )
-
-        num_ancillas = payload["num_ancillas"]
-        if isinstance(num_ancillas, bool) or not isinstance(num_ancillas, int):
+        num_ancillas = entry["num_ancillas"]
+        if type(num_ancillas) is not int or num_ancillas < 0:
             raise ValueError(f"bad num_ancillas: {num_ancillas!r}")
-        if num_ancillas < 0:
-            raise ValueError(f"bad num_ancillas: {num_ancillas!r}")
-        used_closed_form = payload["used_closed_form"]
-        exact_penalty = payload["exact_penalty"]
+        used_closed_form = entry["used_closed_form"]
+        exact_penalty = entry["exact_penalty"]
         if not isinstance(used_closed_form, bool) or not isinstance(
             exact_penalty, bool
         ):
             raise ValueError("bad template flags")
-        strategy = payload["strategy"]
-        if not isinstance(strategy, str) or not _STRATEGY_NAME.match(strategy):
-            raise ValueError(f"bad template strategy: {strategy!r}")
+        strategy = entry["strategy"]
         if strategy != key[2]:
             raise ValueError(
                 f"template strategy {strategy!r} does not match key {key[2]!r}"

@@ -211,6 +211,8 @@ def synthesize(
         outcome.disk_hits = store.hits
         outcome.disk_misses = store.misses
         outcome.disk_errors = store.errors
+        telemetry.count("compile.disk_cache.hits", store.hits)
+        telemetry.count("compile.disk_cache.misses", store.misses)
 
     return outcome
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.types import Constraint
-from ..qubo.model import QUBO
-from .synthesize import GAP
+from ..qubo.model import QUBO, qubo_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.env import Env
@@ -110,7 +109,7 @@ class CompiledProgram:
     def fingerprint(self) -> str:
         """Content hash of the compiled QUBO, stable under term ordering.
 
-        This is :func:`repro.analysis.certify.qubo_fingerprint` of
+        This is :func:`repro.qubo.qubo_fingerprint` of
         :attr:`qubo`, computed once per QUBO object and cached on the
         instance — the one canonical identity both the certification
         engine (``ProgramCertificate.qubo_sha256``) and the service
@@ -122,8 +121,6 @@ class CompiledProgram:
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None or cached[0] is not self.qubo:
-            from ..analysis.certify import qubo_fingerprint
-
             cached = (self.qubo, qubo_fingerprint(self.qubo))
             self.__dict__["_fingerprint"] = cached
         return cached[1]
@@ -131,15 +128,6 @@ class CompiledProgram:
     def strip_ancillas(self, assignment: Mapping[str, bool | int]) -> dict[str, bool]:
         """Project a QUBO-level assignment onto environment variables."""
         return {v: bool(assignment[v]) for v in self.variables}
-
-    def soft_violations_from_energy(self, energy: float) -> float:
-        """Lower bound on violated soft constraints implied by ``energy``.
-
-        Valid only when all hard constraints are satisfied, in which case
-        the energy is exactly ``GAP`` times the number of violated soft
-        constraints.
-        """
-        return energy / GAP
 
 
 def compile_program(

@@ -102,13 +102,3 @@ class CliqueCover(ProblemInstance):
                 if cover[u] == cover[v] and not self.graph.has_edge(u, v):
                     return False
         return True
-
-    def is_coverable(self) -> bool:
-        from ..classical.nck_solver import ExactNckSolver
-        from ..core.types import UnsatisfiableError
-
-        try:
-            ExactNckSolver().solve(self.build_env())
-            return True
-        except UnsatisfiableError:
-            return False

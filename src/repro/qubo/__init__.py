@@ -14,7 +14,7 @@ from .matrix import (
     to_dense,
     to_sparse,
 )
-from .model import QUBO
+from .model import QUBO, qubo_fingerprint
 
 __all__ = [
     "EXHAUSTIVE_SEARCH_LIMIT",
@@ -29,6 +29,7 @@ __all__ = [
     "from_sparse",
     "ising_to_qubo",
     "preferred_representation",
+    "qubo_fingerprint",
     "qubo_to_ising",
     "sparse_energies",
     "spins_to_bits",

@@ -27,6 +27,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ..store import content_hash
+
 
 class QUBO:
     """A sparse QUBO over named binary variables."""
@@ -247,3 +249,27 @@ class QUBO:
             f"{b:g}*{u}*{v}" for (u, v), b in sorted(self.quadratic.items()) if abs(b) > 1e-12
         ]
         return "QUBO(" + " + ".join(terms).replace("+ -", "- ") + ")" if terms else "QUBO(0)"
+
+
+def qubo_fingerprint(qubo: QUBO) -> str:
+    """Content hash of a QUBO, stable under term ordering.
+
+    Coefficients are pruned and rounded to 9 decimals first, so float
+    noise below that does not change the hash.  For whole compiled
+    programs prefer
+    :attr:`~repro.compile.program.CompiledProgram.fingerprint`, which
+    memoizes this hash on the artifact — certification and the
+    service-layer result cache (:mod:`repro.service`) share that one
+    computation instead of re-hashing per call site.
+    """
+    pruned = qubo.pruned()
+    return content_hash(
+        {
+            "offset": round(pruned.offset, 9),
+            "linear": sorted((v, round(a, 9)) for v, a in pruned.linear.items()),
+            "quadratic": sorted(
+                (min(u, v), max(u, v), round(b, 9))
+                for (u, v), b in pruned.quadratic.items()
+            ),
+        }
+    )

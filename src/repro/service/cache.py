@@ -12,7 +12,7 @@ Two in-memory tiers sit in front of compile and solve:
   compile warmed);
 * the **result cache** maps ``(program.fingerprint, solver
   signature)`` — the compiled QUBO's canonical content hash
-  (:func:`repro.analysis.certify.qubo_fingerprint`, surfaced as
+  (:func:`repro.qubo.qubo_fingerprint`, surfaced as
   :attr:`CompiledProgram.fingerprint`) plus the solving configuration
   (backends, strategy, timeout, retries, seed) — to the finished
   :class:`~repro.runtime.records.PortfolioResult`.  A hit skips the
@@ -31,11 +31,12 @@ counters surfaced through ``service.cache.*`` telemetry and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Hashable
+
+from ..store import content_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.env import Env
@@ -70,8 +71,7 @@ def request_fingerprint(env: "Env", compile_options: dict | None = None) -> str:
         ],
         "options": _canonical_options(compile_options),
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return content_hash(payload)
 
 
 def _canonical_options(options: dict | None) -> list:

@@ -4,8 +4,9 @@ Covers the proof core (interval combination, enumeration fallback),
 agreement with the exhaustive verifier on everything small enough to
 enumerate (hypothesis), adversarial corruption beyond the enumeration
 cap (where certificates are the *only* checker that can run),
-serialization + offline recheck, the on-disk certificate store, the
-compiler post-pass, the runtime cross-check, and the CLI.
+serialization + offline recheck, the compiler post-pass, the runtime
+cross-check, and the CLI.  The on-disk certificate store is covered with
+the template store in ``tests/test_compile_store.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis import (
     CERTIFY_RULES,
-    CertificateStore,
     CertificationError,
     ProgramCertificate,
     certificate_diagnostics,
@@ -280,60 +280,6 @@ class TestSerialization:
         b = QUBO({"x": 1.0 + 1e-13}, {("x", "y"): -2.0}, offset=0.5)
         assert qubo_fingerprint(a) == qubo_fingerprint(b)
         assert qubo_fingerprint(a) != qubo_fingerprint(a * 2.0)
-
-
-class TestCertificateStore:
-    def test_warm_run_hits(self, tmp_path):
-        env = mvc_env(6)
-        program = compile_program(env)
-        store = CertificateStore(tmp_path / "certs")
-        certify_program(env, program, store=store)
-        assert len(store) > 0
-        cold_misses = store.misses
-        assert cold_misses > 0
-        warm_store = CertificateStore(tmp_path / "certs")
-        cert = certify_program(env, program, store=warm_store)
-        assert cert.verdict == "pass"
-        assert warm_store.misses == 0 and warm_store.hits > 0
-        assert all(c.cached for c in cert.constraints if c.method != "dropped")
-
-    def test_symmetric_constraints_share_entries(self, tmp_path):
-        env = mvc_env(6)  # 6 identical edge constraints + 6 identical softs
-        store = CertificateStore(tmp_path / "certs")
-        certify_program(env, compile_program(env), store=store)
-        assert len(store) == 2
-
-    def test_corrupt_entries_are_discarded_and_recomputed(self, tmp_path):
-        env = mvc_env(5)
-        program = compile_program(env)
-        store = CertificateStore(tmp_path / "certs")
-        reference = certify_program(env, program, store=store)
-        for path in (tmp_path / "certs").glob("*.cert.json"):
-            path.write_text("{ not json")
-        dirty = CertificateStore(tmp_path / "certs")
-        cert = certify_program(env, program, store=dirty)
-        # Every corrupt entry is discarded (an error + a miss) and then
-        # recomputed; later symmetric constraints hit the fresh entries.
-        assert dirty.errors == dirty.misses == 2
-        assert cert.verdict == reference.verdict == "pass"
-
-    def test_wrong_key_entry_rejected(self, tmp_path):
-        store = CertificateStore(tmp_path / "certs")
-        store.put(
-            "k1",
-            {
-                "method": "truth-table",
-                "valid_min": 0.0,
-                "valid_max": 0.0,
-                "invalid_min": 1.0,
-                "invalid_max": 1.0,
-            },
-        )
-        path = store._path("k1")
-        path.rename(store._path("k2"))  # entry now lies about its key
-        fresh = CertificateStore(tmp_path / "certs")
-        assert fresh.get("k2") is None
-        assert fresh.errors == 1
 
 
 class TestPipelinePass:
