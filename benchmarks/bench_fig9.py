@@ -45,5 +45,5 @@ def test_fig9_circuit_depth(benchmark, metrics):
     program = MinVertexCover(vertex_scaling_graph(4)).build_env().to_qubo()
     model = qubo_to_ising(program.qubo)
     circ = qaoa_circuit(model, np.array([0.7]), np.array([0.3]))
-    transpiler = Transpiler(brooklyn_coupling_map(), seed=0)
+    transpiler = Transpiler(brooklyn_coupling_map())
     benchmark(lambda: transpiler.transpile(circ))

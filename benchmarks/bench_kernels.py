@@ -129,29 +129,11 @@ def test_sparse_kernel_gate(benchmark, full_scale):
     )
     speedup = timings["dense"] / timings["sparse"]
 
-    # Fused batch vs per-program loop on the same workload, split into
-    # shards: reported for trend tracking, not gated (the win depends on
-    # shard size and BLAS threading).
-    shards = 8
-    shard_n = n // shards
-    shard_models = [
-        random_sparse_ising(np.random.default_rng(100 + k), shard_n, degree)
-        for k in range(shards)
-    ]
-    t0 = time.perf_counter()
-    for k, m in enumerate(shard_models):
-        sampler.sample(m, num_reads=reads, rng=np.random.default_rng(200 + k))
-    loop_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sampler.sample_batch(shard_models, num_reads=reads, seed=300)
-    fused_s = time.perf_counter() - t0
-
     banner(f"sparse kernel gate (n={n}, degree≈{degree}, reads={reads}, sweeps={sweeps})")
     print(f"dense sweep wall:  {timings['dense']:.3f}s")
     print(f"sparse sweep wall: {timings['sparse']:.3f}s")
     print(f"speedup: {speedup:.1f}× (floor {SPARSE_SPEEDUP_FLOOR:.0f}×)")
     print(f"identical samples: {identical}")
-    print(f"fused batch ({shards}×{shard_n}): loop {loop_s:.3f}s vs fused {fused_s:.3f}s")
 
     with open(SPARSE_OUTPUT, "w") as fh:
         json.dump(
@@ -170,8 +152,6 @@ def test_sparse_kernel_gate(benchmark, full_scale):
                 "color_classes": len(
                     _independent_classes(model.to_arrays()[1] + model.to_arrays()[1].T)
                 ),
-                "batch_loop_seconds": loop_s,
-                "batch_fused_seconds": fused_s,
             },
             fh,
             indent=2,

@@ -109,14 +109,11 @@ PARAM_COVERAGE: tuple[tuple[str, str], ...] = (
     ("compile/program.py", "compile_constraint"),
     ("annealing/device.py", "AnnealingDevice.__init__"),
     ("annealing/device.py", "AnnealingDevice.sample"),
-    ("annealing/device.py", "AnnealingDevice.sample_batch"),
     ("annealing/sampler.py", "SimulatedAnnealingSampler.sample"),
-    ("annealing/sampler.py", "SimulatedAnnealingSampler.sample_batch"),
     ("circuit/device.py", "CircuitDevice.__init__"),
     ("circuit/device.py", "CircuitDevice.sample"),
     ("classical/nck_solver.py", "ExactNckSolver.solve"),
     ("runtime/executor.py", "solve"),
-    ("runtime/executor.py", "BatchRunner.__init__"),
     ("telemetry/recorder.py", "span"),
     ("telemetry/recorder.py", "count"),
     ("telemetry/recorder.py", "gauge"),

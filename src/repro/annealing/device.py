@@ -256,7 +256,7 @@ class AnnealingDevice:
         if embedding is None:
             embedding = self.embed(program, rng=rng)
 
-        physical, chain_edges = self._embedded_model(logical, embedding)
+        physical = self._embedded_model(logical, embedding)
         order = tuple(physical.variables)
 
         # Reads are split across spin-reversal transforms (gauges): each
@@ -321,9 +321,9 @@ class AnnealingDevice:
     ) -> SampleSet:
         """Majority-vote unembedding + post-processing into a SampleSet.
 
-        Shared tail of :meth:`sample` and :meth:`sample_batch`: resolve
-        each chain by majority vote, optionally run greedy descent, and
-        re-evaluate energies against the noiseless logical model.
+        The tail of :meth:`sample`: resolve each chain by majority
+        vote, optionally run greedy descent, and re-evaluate energies
+        against the noiseless logical model.
         """
         col = {q: i for i, q in enumerate(order)}
         logical_vars = tuple(program.qubo.variables)
@@ -370,120 +370,6 @@ class AnnealingDevice:
         )
 
     # ------------------------------------------------------------------
-    def sample_batch(
-        self,
-        envs: "list[Env]",
-        num_reads: int | None = None,
-        rngs: "list[np.random.Generator] | None" = None,
-        seed: int | np.random.SeedSequence | None = None,
-        programs: "list[CompiledProgram] | None" = None,
-        representation: str | None = None,
-        **compile_kwargs,
-    ) -> list[SampleSet]:
-        """Run one fused job for *many* programs (one SampleSet each).
-
-        Each env in ``envs`` compiles and embeds independently, but all
-        programs anneal together in one block-diagonal spin matrix (see
-        :meth:`SimulatedAnnealingSampler.sample_batch`), so the sweep
-        loop runs once for the whole batch instead of once per program.
-        ``num_reads`` applies to every program (default: the profile's
-        job size).  ``rngs`` supplies one generator per program; with
-        ``rngs=None``, independent streams are spawned from ``seed``.
-        Precompiled ``programs`` may be supplied to skip compilation;
-        ``representation`` forces the ``"dense"`` or ``"sparse"`` kernel
-        for the fused matrix; remaining keyword arguments
-        (``compile_kwargs``) flow to :meth:`Env.to_qubo`.
-
-        Because each program's physical model is normalized to unit
-        coefficient scale before fusing, the shared anneal schedule is
-        equivalent to the per-program adaptive schedule of
-        :meth:`sample`; energies are still evaluated against each
-        program's noiseless logical model.
-        """
-        envs = list(envs)
-        num_reads = num_reads or self.profile.default_num_reads
-        if rngs is not None:
-            rngs = list(rngs)
-            if len(rngs) != len(envs):
-                raise ValueError("need exactly one rng per env")
-        else:
-            root = (
-                seed
-                if isinstance(seed, np.random.SeedSequence)
-                else np.random.SeedSequence(seed)
-            )
-            rngs = [np.random.default_rng(s) for s in root.spawn(max(1, len(envs)))]
-        if programs is not None and len(programs) != len(envs):
-            raise ValueError("need exactly one precompiled program per env")
-        if not envs:
-            return []
-
-        with telemetry.span(
-            "anneal.batch_job",
-            device=self.name,
-            programs=len(envs),
-            num_reads=num_reads,
-        ) as tspan:
-            jobs = []
-            for i, env in enumerate(envs):
-                program = programs[i] if programs is not None else env.to_qubo(**compile_kwargs)
-                logical = qubo_to_ising(program.qubo)
-                embedding = self.embed(program, rng=rngs[i])
-                physical, _ = self._embedded_model(logical, embedding)
-                jobs.append((env, program, embedding, physical, tuple(physical.variables)))
-
-            transforms = max(1, self.num_spin_reversal_transforms)
-            reads_per = -(-num_reads // transforms)  # ceil division
-            blocks: list[list[np.ndarray]] = [[] for _ in envs]
-            if self._custom_schedule:
-                schedule = self.sampler.schedule
-            else:
-                # One shared schedule for the fused sweep: each program's
-                # model is normalized to unit coefficient scale below, so
-                # the fixed ramp is the per-program adaptive schedule of
-                # :meth:`sample` in disguise.
-                schedule = AnnealSchedule(
-                    beta_min=0.05,
-                    beta_max=10.0,
-                    num_sweeps=max(self.sampler.schedule.num_sweeps, 512),
-                )
-            for _ in range(transforms):
-                models, gauges = [], []
-                for i, (env, program, embedding, physical, order) in enumerate(jobs):
-                    if self.num_spin_reversal_transforms > 0:
-                        gauge = rngs[i].choice(np.array([-1.0, 1.0]), size=len(order))
-                    else:
-                        gauge = np.ones(len(order))
-                    programmed = self.profile.noise.apply(
-                        _apply_gauge(physical, order, gauge), rngs[i]
-                    )
-                    if not self._custom_schedule:
-                        scale = max(programmed.max_abs_coefficient(), 1e-12)
-                        programmed = _scaled(programmed, 1.0 / scale)
-                    models.append(programmed)
-                    gauges.append(gauge)
-                fused = self.sampler.sample_batch(
-                    models,
-                    num_reads=reads_per,
-                    rngs=rngs,
-                    variables=[j[4] for j in jobs],
-                    schedule=schedule,
-                    representation=representation,
-                )
-                for i, result in enumerate(fused):
-                    blocks[i].append(result.spins * gauges[i].astype(np.int8))
-
-            out = []
-            broken = 0
-            for i, (env, program, embedding, physical, order) in enumerate(jobs):
-                all_spins = np.vstack(blocks[i])[:num_reads]
-                ss = self._unembed(env, program, embedding, all_spins, order, num_reads)
-                broken += ss.metadata["broken_chains"]
-                out.append(ss)
-            tspan.set(programs=len(envs), broken_chains=broken)
-            return out
-
-    # ------------------------------------------------------------------
     def embed(
         self, program: CompiledProgram, rng: np.random.Generator | None = None
     ) -> Embedding:
@@ -493,9 +379,7 @@ class AnnealingDevice:
         g.add_edges_from(program.qubo.quadratic.keys())
         return find_embedding(g, self.profile.topology, rng=rng)
 
-    def _embedded_model(
-        self, logical: IsingModel, embedding: Embedding
-    ) -> tuple[IsingModel, list[tuple[str, str]]]:
+    def _embedded_model(self, logical: IsingModel, embedding: Embedding) -> IsingModel:
         """Spread logical fields over chains and add chain couplers.
 
         Physical spins are named ``"q<qubit>"``.  The logical field
@@ -526,14 +410,12 @@ class AnnealingDevice:
             for q in chain:
                 h[pname(q)] = h.get(pname(q), 0.0) + share
 
-        chain_edges: list[tuple[str, str]] = []
         for v, chain in embedding.chains.items():
             sub = topo.subgraph(chain)
             # Couple along a spanning tree: enough to bind the chain.
             for a, b in nx.minimum_spanning_edges(sub, data=False):
                 key = (pname(a), pname(b)) if pname(a) < pname(b) else (pname(b), pname(a))
                 J[key] = J.get(key, 0.0) - strength
-                chain_edges.append(key)
 
         for (u, v), j in logical.J.items():
             placed = False
@@ -554,7 +436,7 @@ class AnnealingDevice:
             for q in chain:
                 h.setdefault(pname(q), 0.0)
 
-        return IsingModel(h=h, J=J, offset=logical.offset), chain_edges
+        return IsingModel(h=h, J=J, offset=logical.offset)
 
 
 def _solutions(
@@ -606,21 +488,6 @@ def _solutions(
             satisfied[:, soft].sum(axis=1).tolist(),
         )
     ]
-
-
-def _scaled(model: IsingModel, factor: float) -> IsingModel:
-    """The model with every coefficient multiplied by ``factor``.
-
-    Positive scaling preserves the energy ordering (and Metropolis
-    dynamics, once the schedule absorbs the inverse factor); the offset
-    is left alone because batch callers re-evaluate energies against the
-    logical model anyway.
-    """
-    return IsingModel(
-        h={v: factor * hv for v, hv in model.h.items()},
-        J={k: factor * jv for k, jv in model.J.items()},
-        offset=model.offset,
-    )
 
 
 def _apply_gauge(

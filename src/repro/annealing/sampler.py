@@ -22,13 +22,10 @@ Implementation notes (HPC-guide idioms; full contract in
   sparse CSR product, chosen by the shared density heuristic
   (:func:`repro.qubo.matrix.preferred_representation`) — Table-1-scale
   coupling graphs are overwhelmingly sparse, and the CSR kernel's cost
-  scales with couplers instead of ``n**2``;
-* :meth:`SimulatedAnnealingSampler.sample_batch` fuses *many programs*
-  into one block-diagonal coupling matrix and one spin matrix, so a
-  whole batch sweeps per BLAS/CSR call instead of per-program Python
-  loops.  Per-program RNG streams keep each program's samples identical
-  to a solo :meth:`~SimulatedAnnealingSampler.sample` call with the same
-  stream.
+  scales with couplers instead of ``n**2``.
+
+One call anneals one model; the device runs one call per job (per
+gauge), as the paper's Ocean path submits one program per job.
 """
 
 from __future__ import annotations
@@ -172,15 +169,15 @@ def _metropolis_sweeps(
     coupling,
     classes: list[np.ndarray],
     betas: np.ndarray,
-    draw: Callable[[], list[np.ndarray]],
+    rng: np.random.Generator,
 ) -> None:
     """Run the color-class Metropolis sweep loop in place on ``S``.
 
-    ``S`` is the ``(num_reads, n)`` float ±1 spin matrix, ``coupling``
-    the symmetrized matrix (dense ``ndarray`` or CSR), and ``draw()``
-    returns one sweep's uniform acceptance draws, class ``k``'s as a
-    ``(num_reads, m_k)`` array — the one RNG-consuming hook, so dense,
-    sparse, and batched callers consume identical streams.  The sweeps
+    ``S`` is the ``(num_reads, n)`` float ±1 spin matrix and ``coupling``
+    the symmetrized matrix (dense ``ndarray`` or CSR).  Each sweep makes
+    one ``rng.random(num_reads * n)`` draw, cut into class ``k``'s
+    ``(num_reads, m_k)`` acceptance uniforms by :func:`_class_uniforms`,
+    so dense and sparse kernels consume identical streams.  The sweeps
     run on the blocked transpose of ``S`` (:func:`_blocked_order`), where
     each class is a contiguous row block updated in place.  Per class,
     the single-flip energy delta is ``dE(flip i) = -2 s_i f_i``, with
@@ -191,8 +188,9 @@ def _metropolis_sweeps(
     perm, bounds = _blocked_order(classes)
     fields = _class_fields(coupling, h, classes)
     T = np.ascontiguousarray(S.T[perm])
+    num_reads = S.shape[0]
     for beta in betas:
-        uniforms = draw()
+        uniforms = _class_uniforms(rng.random(S.size), num_reads, bounds)
         # -beta·dE = (s·f)·(2·beta): the factor 2 and the sign are exact,
         # so this rounds once, to the same value as (-dE)·beta.
         two_beta = 2.0 * beta
@@ -264,18 +262,9 @@ class SimulatedAnnealingSampler:
         spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, n))
         S = spins.astype(np.float64)
 
-        # One draw per sweep; class k's uniforms are its slice of it.
-        _, bounds = _blocked_order(color_classes)
         betas = (schedule or self.schedule).betas()
         t0 = time.perf_counter()
-        _metropolis_sweeps(
-            S,
-            h,
-            J_sym,
-            color_classes,
-            betas,
-            lambda: _class_uniforms(rng.random(num_reads * n), num_reads, bounds),
-        )
+        _metropolis_sweeps(S, h, J_sym, color_classes, betas, rng)
         if telemetry.enabled():
             elapsed = time.perf_counter() - t0
             telemetry.count("anneal.sweeps", betas.size)
@@ -289,149 +278,6 @@ class SimulatedAnnealingSampler:
 
         energies = model.energies(S, order, representation=chosen)
         return SampleResult(spins=S.astype(np.int8), energies=energies, variables=order)
-
-    def sample_batch(
-        self,
-        models: Sequence[IsingModel],
-        num_reads: int = 100,
-        rngs: Sequence[np.random.Generator] | None = None,
-        seed: int | np.random.SeedSequence | None = None,
-        variables: Sequence[Sequence[str]] | None = None,
-        schedule: AnnealSchedule | None = None,
-        representation: str | None = None,
-    ) -> list[SampleResult]:
-        """Anneal replicas of *many* models in one fused spin matrix.
-
-        All models share the schedule and ``num_reads``; their coupling
-        matrices fuse into one block-diagonal matrix and their color
-        classes merge rank-by-rank, so every sweep is one batched kernel
-        call for the whole program batch instead of a per-program Python
-        loop.  ``rngs`` supplies one independent generator per model
-        (default: children spawned from ``seed``); each program consumes
-        only its own stream, so program ``i``'s result equals a solo
-        ``sample(models[i], num_reads, rng=rngs[i], ...)`` call with the
-        same representation (bit-identical when the coefficient sums are
-        exactly representable — the equivalence matrix in
-        ``tests/test_numeric_core.py``).  ``variables`` optionally fixes
-        each model's column order; ``representation`` forces the kernel
-        for the whole fused matrix (default: density heuristic over the
-        fused problem).
-        """
-        models = list(models)
-        if rngs is not None:
-            rngs = list(rngs)
-            if len(rngs) != len(models):
-                raise ValueError("need exactly one rng per model")
-        else:
-            root = (
-                seed
-                if isinstance(seed, np.random.SeedSequence)
-                else np.random.SeedSequence(seed)
-            )
-            rngs = [np.random.default_rng(s) for s in root.spawn(max(1, len(models)))]
-        if variables is not None and len(variables) != len(models):
-            raise ValueError("need exactly one variable order per model")
-        if not models:
-            return []
-        orders = [
-            tuple(variables[i]) if variables is not None else m.variables
-            for i, m in enumerate(models)
-        ]
-        sizes = [len(o) for o in orders]
-        total = sum(sizes)
-        couplers = sum(len(m.J) for m in models)
-        chosen = preferred_representation(max(total, 1), couplers, representation)
-
-        # Degenerate fusion: zero-variable models never touch their rng
-        # (mirroring sample()); handle them outside the fused kernel.
-        live = [i for i, n in enumerate(sizes) if n > 0]
-        results: list[SampleResult | None] = [None] * len(models)
-        for i, n in enumerate(sizes):
-            if n == 0:
-                results[i] = SampleResult(
-                    spins=np.zeros((num_reads, 0), dtype=np.int8),
-                    energies=np.full(num_reads, models[i].offset),
-                    variables=orders[i],
-                )
-        if not live:
-            return [r for r in results if r is not None]
-
-        t0 = time.perf_counter()
-        offsets: dict[int, int] = {}
-        pos = 0
-        built = {}
-        for i in live:
-            offsets[i] = pos
-            pos += sizes[i]
-            built[i] = _build_coupling(models[i], orders[i], chosen)
-        fused_n = pos
-        h = np.concatenate([built[i][0] for i in live])
-        if chosen == "sparse":
-            sp = require_scipy()
-            J_fused = sp.block_diag([built[i][1] for i in live], format="csr")
-            J_fused.sort_indices()
-        else:
-            J_fused = np.zeros((fused_n, fused_n))
-            for i in live:
-                off = offsets[i]
-                J_fused[off : off + sizes[i], off : off + sizes[i]] = built[i][1]
-
-        # Per-program color classes merge rank-by-rank: fused class k is
-        # the union of every program's k-th class (index-shifted).  The
-        # blocks are decoupled, so the union is still an independent set,
-        # and per-program RNG consumption matches the solo kernel.
-        per_program = {i: _independent_classes(built[i][1]) for i in live}
-        depth = max(len(per_program[i]) for i in live)
-        fused_classes = [
-            np.concatenate(
-                [per_program[i][k] + offsets[i] for i in live if k < len(per_program[i])]
-            )
-            for k in range(depth)
-        ]
-
-        S = np.concatenate(
-            [
-                rngs[i]
-                .choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, sizes[i]))
-                .astype(np.float64)
-                for i in live
-            ],
-            axis=1,
-        )
-
-        # Each program draws one sweep's uniforms from its own stream, as
-        # a solo call would; fused class k takes every program's class-k
-        # slice, in program order.
-        program_bounds = [_blocked_order(per_program[i])[1] for i in live]
-
-        def draw() -> list[np.ndarray]:
-            per = [
-                _class_uniforms(rngs[i].random(num_reads * sizes[i]), num_reads, bounds)
-                for i, bounds in zip(live, program_bounds)
-            ]
-            return [
-                np.concatenate([u[k] for u in per if k < len(u)], axis=1)
-                for k in range(depth)
-            ]
-
-        betas = (schedule or self.schedule).betas()
-        _metropolis_sweeps(S, h, J_fused, fused_classes, betas, draw)
-
-        for i in live:
-            block = S[:, offsets[i] : offsets[i] + sizes[i]]
-            energies = models[i].energies(block, orders[i], representation=chosen)
-            results[i] = SampleResult(
-                spins=block.astype(np.int8), energies=energies, variables=orders[i]
-            )
-        if telemetry.enabled():
-            elapsed = time.perf_counter() - t0
-            telemetry.count("anneal.batch.programs", len(live))
-            telemetry.count("anneal.batch.reads", num_reads * len(live))
-            telemetry.observe("anneal.batch.sweep_seconds", elapsed)
-            if chosen == "sparse":
-                telemetry.count("anneal.sparse.sweeps", betas.size)
-                telemetry.count("anneal.sparse.reads", num_reads * len(live))
-        return [r for r in results if r is not None]
 
 
 class ExactIsingSolver:

@@ -115,7 +115,7 @@ class CircuitDevice:
         """
         self.profile = profile or CircuitDeviceProfile.brooklyn()
         self.qaoa = QAOA(layers=qaoa_layers, maxiter=qaoa_maxiter)
-        self.transpiler = Transpiler(self.profile.coupling, seed=0)
+        self.transpiler = Transpiler(self.profile.coupling)
 
     @property
     def name(self) -> str:
@@ -258,8 +258,9 @@ class CircuitDevice:
         gave 95 optimal, 0 suboptimal and 1 incorrect label, and this
         surrogate 89 optimal, 3 suboptimal and 4 incorrect; the two
         agreed on 88 of the 96 runs.  So the surrogate labels somewhat
-        worse than exact simulation where both can run.  Reproduce with
-        ``PYTHONPATH=src python benchmarks/structural_calibration.py``.
+        worse than exact simulation where both can run.  The slow test
+        ``tests/test_circuit_device.py::test_structural_model_labels_like_the_exact_path``
+        reruns the comparison with these counts as its bounds.
         """
         from ..annealing.sampler import AnnealSchedule, SimulatedAnnealingSampler
 

@@ -50,7 +50,7 @@ class TranspileResult:
 class Transpiler:
     """Layout + routing + basis decomposition for one coupling map."""
 
-    def __init__(self, coupling: nx.Graph, seed: int | None = None) -> None:
+    def __init__(self, coupling: nx.Graph) -> None:
         if coupling.number_of_nodes() == 0:
             raise ValueError("empty coupling map")
         self.coupling = coupling
@@ -58,7 +58,6 @@ class Transpiler:
         self._dist = dict(nx.all_pairs_shortest_path_length(coupling))
         # Device center: the qubit minimizing total distance to all others.
         self._center = min(self.physical, key=lambda p: sum(self._dist[p].values()))
-        self.rng = np.random.default_rng(seed)
 
     @property
     def num_physical_qubits(self) -> int:

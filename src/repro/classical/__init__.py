@@ -1,15 +1,9 @@
 """Classical exact solvers (the paper's Z3 back end and ground truth)."""
 
 from .nck_solver import ExactNckSolver
-from .qubo_solver import (
-    BATCH_ENUMERATION_BITS,
-    EXHAUSTIVE_LIMIT,
-    ExactQUBOSolver,
-    greedy_descent,
-)
+from .qubo_solver import EXHAUSTIVE_LIMIT, ExactQUBOSolver, greedy_descent
 
 __all__ = [
-    "BATCH_ENUMERATION_BITS",
     "EXHAUSTIVE_LIMIT",
     "ExactNckSolver",
     "ExactQUBOSolver",

@@ -16,23 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..qubo.matrix import (
-    EXHAUSTIVE_SEARCH_LIMIT,
-    batched_energies,
-    enumerate_assignments,
-    to_dense,
-)
+from ..qubo.matrix import EXHAUSTIVE_SEARCH_LIMIT, enumerate_assignments, to_dense
 from ..qubo.model import QUBO
 
 #: Exhaustive enumeration limit — an alias of the repo-wide cap
 #: :data:`repro.qubo.matrix.EXHAUSTIVE_SEARCH_LIMIT` (kept as a name for
 #: backward compatibility; see ``docs/numerics.md``).
 EXHAUSTIVE_LIMIT = EXHAUSTIVE_SEARCH_LIMIT
-
-#: Largest per-program size the *batched* exhaustive kernel enumerates in
-#: one shot: the shared ``(2**n, n)`` assignment matrix matches the
-#: ``_solve_exhaustive`` chunk size, bounding peak memory.
-BATCH_ENUMERATION_BITS = 18
 
 
 class ExactQUBOSolver:
@@ -56,40 +46,6 @@ class ExactQUBOSolver:
         if len(variables) <= EXHAUSTIVE_LIMIT:
             return self._solve_exhaustive(qubo, variables)
         return self._solve_branch_and_bound(qubo, variables)
-
-    def solve_batch(self, qubos: "list[QUBO]") -> list[tuple[float, dict[str, int]]]:
-        """Exactly minimize *many* QUBOs with batched enumeration.
-
-        Programs with the same variable count (up to
-        :data:`BATCH_ENUMERATION_BITS`) share one assignment matrix and
-        are scored together through one broadcast energy kernel
-        (:func:`repro.qubo.matrix.batched_energies`) instead of a
-        per-program Python loop; larger programs fall back to
-        :meth:`solve` individually.  Returns one ``(energy, assignment)``
-        pair per input, in order.
-        """
-        qubos = list(qubos)
-        results: list[tuple[float, dict[str, int]] | None] = [None] * len(qubos)
-        groups: dict[int, list[int]] = {}
-        for i, q in enumerate(qubos):
-            n = len(q.variables)
-            if 0 < n <= BATCH_ENUMERATION_BITS:
-                groups.setdefault(n, []).append(i)
-            else:
-                results[i] = self.solve(q)
-        for n, idxs in groups.items():
-            X = enumerate_assignments(n).astype(float)
-            Q_stack = np.stack(
-                [to_dense(qubos[i], qubos[i].variables)[0] for i in idxs]
-            )
-            offsets = np.array([qubos[i].offset for i in idxs])
-            E = batched_energies(Q_stack, offsets, X)
-            rows = E.argmin(axis=1)
-            for p, i in enumerate(idxs):
-                variables = qubos[i].variables
-                r = int(rows[p])
-                results[i] = (float(E[p, r]), dict(zip(variables, map(int, X[r]))))
-        return [r for r in results if r is not None]
 
     # ------------------------------------------------------------------
     def _solve_exhaustive(self, qubo: QUBO, variables: tuple[str, ...]):

@@ -4,7 +4,6 @@ from .ising import IsingModel, bits_to_spins, ising_to_qubo, qubo_to_ising, spin
 from .matrix import (
     EXHAUSTIVE_SEARCH_LIMIT,
     HAVE_SCIPY,
-    batched_energies,
     coupling_density,
     enumerate_assignments,
     from_dense,
@@ -21,7 +20,6 @@ __all__ = [
     "HAVE_SCIPY",
     "IsingModel",
     "QUBO",
-    "batched_energies",
     "bits_to_spins",
     "coupling_density",
     "enumerate_assignments",

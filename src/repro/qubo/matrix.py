@@ -233,27 +233,6 @@ def sparse_energies(Q, offset: float, samples: np.ndarray) -> np.ndarray:
     return np.einsum("ns,ns->s", Q @ Xt, Xt) + offset
 
 
-def batched_energies(
-    Q_stack: np.ndarray, offsets: np.ndarray, samples: np.ndarray
-) -> np.ndarray:
-    """Energies of one assignment batch under *many* QUBOs at once.
-
-    ``Q_stack`` is a ``(P, n, n)`` stack of upper-triangular coefficient
-    matrices (the :func:`to_dense` layout, one per program), ``offsets``
-    a length-``P`` vector, and ``samples`` a shared ``(S, n)`` 0/1
-    matrix.  Returns a ``(P, S)`` energy matrix computed with one
-    broadcast batched matmul instead of a per-program Python loop — the
-    kernel behind :meth:`repro.classical.ExactQUBOSolver.solve_batch`.
-    """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    Q_stack = np.asarray(Q_stack, dtype=float)
-    # (P, S, n) = (S, n) @ (P, n, n), then contract against X per sample.
-    T = X @ Q_stack
-    return np.einsum("psn,sn->ps", T, X) + np.asarray(offsets, dtype=float)[:, None]
-
-
 def enumerate_assignments(n: int) -> np.ndarray:
     """All ``2**n`` binary assignments as a ``(2**n, n)`` 0/1 array.
 

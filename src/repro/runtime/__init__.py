@@ -12,10 +12,10 @@ runtime:
 * :mod:`~repro.runtime.policy` — robustness: per-backend deadlines,
   bounded retry with exponential backoff + jitter, graceful degradation
   to the classical solver;
-* :mod:`~repro.runtime.executor` — :func:`solve` and
-  :class:`BatchRunner`, the concurrent engine itself, plus
-  :class:`HybridExecutor`, the shared thread/process substrate the
-  solve-as-a-service scheduler (:mod:`repro.service`) dispatches onto;
+* :mod:`~repro.runtime.executor` — :func:`solve`, the concurrent
+  engine itself, plus :class:`HybridExecutor`, the shared
+  thread/process substrate the solve-as-a-service scheduler
+  (:mod:`repro.service`) dispatches job bodies onto;
 * :mod:`~repro.runtime.records` — attempt-level provenance.
 
 Typical use::
@@ -41,7 +41,7 @@ from .backends import (
     make_backend,
     resolve_backends,
 )
-from .executor import BatchRunner, HybridExecutor, solve
+from .executor import HybridExecutor, solve
 from .policy import BackendPolicy, PortfolioPolicy, RetryPolicy
 from .records import AttemptRecord, PortfolioError, PortfolioResult
 from .strategy import (
@@ -60,7 +60,6 @@ __all__ = [
     "BACKEND_FACTORIES",
     "Backend",
     "BackendPolicy",
-    "BatchRunner",
     "ClassicalBackend",
     "ENSEMBLE",
     "FALLBACK",

@@ -19,10 +19,6 @@ Backends may optionally expose:
   a race or blows its deadline.  The bundled simulators run uninterruptible
   numeric kernels and ignore it; remote/cooperative backends should stop
   early.
-* ``sample_batch(envs, rngs=..., seed=...)`` — fused multi-program
-  execution (one SampleSet per env).  When a portfolio consists of a
-  single backend exposing it, :class:`~repro.runtime.executor.BatchRunner`
-  routes whole batches through one call instead of looping per program.
 """
 
 from __future__ import annotations
@@ -124,16 +120,6 @@ class AnnealingBackend:
         given), drawing embedding and anneal randomness from ``rng``."""
         return self.device.sample(
             env, num_reads=self.num_reads, rng=rng, program=program
-        )
-
-    def sample_batch(self, envs, *, rngs=None, seed=None, programs=None) -> list[SampleSet]:
-        """One *fused* annealing job for many ``envs`` (one SampleSet
-        each): all programs anneal together in a block-diagonal spin
-        matrix (see :meth:`AnnealingDevice.sample_batch`).  ``rngs``
-        supplies one stream per env (else streams spawn from ``seed``);
-        precompiled ``programs`` are reused when given."""
-        return self.device.sample_batch(
-            envs, num_reads=self.num_reads, rngs=rngs, seed=seed, programs=programs
         )
 
 

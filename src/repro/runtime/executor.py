@@ -1,10 +1,11 @@
-"""The portfolio engine: ``solve()``, the event loop, and ``BatchRunner``.
+"""The portfolio engine: ``solve()``, its event loop, and ``HybridExecutor``.
 
-One compiled program fans out across a ``concurrent.futures`` thread
-pool, one worker task per backend *attempt*.  The orchestrator (the
-calling thread) owns all scheduling decisions — launches, per-attempt
-deadlines, retry backoff, loser cancellation, the overall deadline — so
-a worker that hangs can never stall the portfolio: the orchestrator
+One compiled program fans out across the call's own
+``concurrent.futures`` thread pool, one worker task per backend
+*attempt*.  The orchestrator (the calling thread) owns all scheduling
+decisions — launches, per-attempt deadlines, retry backoff, loser
+cancellation, the overall deadline — so a worker that hangs can never
+stall the portfolio: the orchestrator
 simply stops waiting for it at its deadline, signals cooperative
 cancellation, and moves on.  Abandoned attempts finish (or notice the
 cancel signal) in the background; their late results are discarded.
@@ -26,7 +27,7 @@ import asyncio
 import threading
 import time
 from concurrent import futures as cf
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -43,24 +44,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class HybridExecutor:
-    """Shared thread + process execution substrate for the runtime.
+    """Shared thread + process execution substrate for service job bodies.
 
-    One object owns both pools the solver stack needs:
+    One object owns both pools the :mod:`repro.service` scheduler
+    dispatches whole compile+solve jobs onto:
 
-    * a **thread pool** — portfolio attempts live here, because
-      cooperative cancellation (shared :class:`threading.Event` flags)
-      and cheap handoff of non-picklable backends require shared memory;
-    * a **process pool** — created lazily, for CPU-bound whole-request
-      work (the :mod:`repro.service` scheduler dispatches entire
-      compile+solve jobs onto it when configured with ``mode="process"``,
-      sidestepping the GIL across tenants).
+    * a **thread pool** — job bodies run here with ``mode="thread"``,
+      sharing the live objects of the request;
+    * a **process pool** — created lazily, for CPU-bound jobs with
+      ``mode="process"``, sidestepping the GIL across tenants.
+
+    Portfolio attempts never run here: each :func:`solve` call starts
+    its own attempt pool, so a job body waiting on its attempts cannot
+    deadlock the pool it occupies.
 
     Both pools are lazy: an executor that only ever runs thread work
     never forks a process, and vice versa.  :meth:`submit` is the
     synchronous entry point; :meth:`run` wraps the same future for
     ``await``-ing from an asyncio event loop, which is what lets the
-    async service front-end and the blocking runtime share one pool
-    budget.  Use as a context manager, or call :meth:`shutdown`.
+    async service front-end wait on blocking job bodies.  Use as a
+    context manager, or call :meth:`shutdown`.
     """
 
     def __init__(
@@ -167,14 +170,6 @@ class HybridExecutor:
             f"{'live' if self._threads else 'lazy'}, processes="
             f"{'live' if self._processes else 'lazy'})"
         )
-
-
-def _as_thread_pool(pool) -> cf.ThreadPoolExecutor:
-    """Normalize a ``pool`` argument (thread pool or :class:`HybridExecutor`)
-    to the thread pool the portfolio engine runs attempts on."""
-    if isinstance(pool, HybridExecutor):
-        return pool.threads
-    return pool
 
 
 def _attempt_task(backend, env, program, rng, cancel, attempt):
@@ -458,7 +453,6 @@ def solve(
     timeout: float | None = None,
     retries: int | None = None,
     seed: int | np.random.SeedSequence | None = None,
-    pool: cf.ThreadPoolExecutor | HybridExecutor | None = None,
     compile_kwargs: dict | None = None,
     program=None,
 ) -> PortfolioResult:
@@ -491,12 +485,6 @@ def solve(
         are spawned per backend and per attempt via ``SeedSequence.spawn``,
         so backends never share RNG state and seeded runs are exactly
         reproducible.  ``None`` draws fresh OS entropy.
-    pool:
-        An existing ``ThreadPoolExecutor`` — or a :class:`HybridExecutor`,
-        whose thread pool is used — to run attempts on (the
-        :class:`BatchRunner` passes its shared pool).  When ``None``, a
-        private pool is created and shut down (without waiting for
-        abandoned attempts) before returning.
     compile_kwargs:
         Forwarded to :meth:`Env.to_qubo` for the one-time compilation.
         Ignored when ``program`` is supplied.
@@ -506,6 +494,11 @@ def solve(
         compile step entirely — this is the memoized request path of
         :mod:`repro.service`, where a fingerprint hit reuses the cached
         artifact instead of recompiling.
+
+    Attempts always run on the call's own thread pool, which is shut
+    down (without waiting for abandoned attempts) before returning.  A
+    caller that is itself a pool worker, such as a service job body,
+    therefore never waits on an attempt slot of its own pool.
 
     Returns a :class:`~repro.runtime.records.PortfolioResult`; raises
     :class:`~repro.core.types.UnsatisfiableError` when a backend proves
@@ -529,14 +522,10 @@ def solve(
     if program is None:
         program = env.to_qubo(**(compile_kwargs or {}))
 
-    own_pool = pool is None
-    if own_pool:
-        pool = cf.ThreadPoolExecutor(
-            max_workers=max(2, 2 * len(backend_list)),
-            thread_name_prefix="repro-runtime",
-        )
-    else:
-        pool = _as_thread_pool(pool)
+    pool = cf.ThreadPoolExecutor(
+        max_workers=max(2, 2 * len(backend_list)),
+        thread_name_prefix="repro-runtime",
+    )
     try:
         with telemetry.span(
             "runtime.solve",
@@ -550,189 +539,5 @@ def solve(
             span.set(winner=result.winner, attempts=result.num_attempts)
             return result
     finally:
-        if own_pool:
-            pool.shutdown(wait=False)
+        pool.shutdown(wait=False)
 
-
-class BatchRunner:
-    """Solve many programs through one shared :class:`HybridExecutor`.
-
-    Programs run through the portfolio with the executor, backends, and
-    policy built once and reused, which is what amortizes device-profile
-    construction when solving hundreds of instances.  When the portfolio
-    is a single backend exposing ``sample_batch`` (the fused multi-program
-    entry point — see :meth:`AnnealingDevice.sample_batch`), whole batches
-    run through **one fused call** instead of a per-program Python loop;
-    programs whose fused samples are all hard-infeasible fall back to the
-    full per-program portfolio.  Per-program seeds are spawned from the
-    runner's root seed, so a seeded batch is reproducible end to end.
-
-    Use as a context manager (or call :meth:`close`) to release the pool.
-    """
-
-    def __init__(
-        self,
-        backends: Iterable | str = ("classical", "annealing"),
-        strategy: str | Strategy = "race",
-        policy: PortfolioPolicy | None = None,
-        timeout: float | None = None,
-        retries: int | None = None,
-        seed: int | None = None,
-        max_workers: int | None = None,
-        fused: bool | None = None,
-        executor: HybridExecutor | None = None,
-    ) -> None:
-        """Configure the shared portfolio.
-
-        ``backends``, ``strategy``, ``policy``, ``timeout``, and
-        ``retries`` have the same meaning as on :func:`solve` and apply
-        to every program; ``seed`` is the batch's root seed; and
-        ``max_workers`` sizes the private executor's thread pool
-        (default: twice the backend count).  ``fused`` controls the
-        fused fast path: ``None`` (default) uses it automatically when
-        the portfolio is a single backend exposing ``sample_batch``,
-        ``True`` requires it (raising when the portfolio cannot fuse),
-        ``False`` always runs the per-program portfolio loop.
-        ``executor`` shares an existing :class:`HybridExecutor` (the
-        service scheduler passes its own); a shared executor is *not*
-        shut down by :meth:`close`, and ``max_workers`` must be left
-        unset.
-        """
-        if policy is not None and (timeout is not None or retries is not None):
-            raise ValueError(
-                "pass either policy or the timeout/retries shorthands, not both"
-            )
-        self.backends = resolve_backends(backends)
-        self.strategy = get_strategy(strategy)
-        self.policy = policy or PortfolioPolicy.with_timeout(timeout, retries)
-        self.seed = seed
-        self.fused = fused
-        if fused is True and not self._fusable():
-            raise ValueError(
-                "fused=True needs a single backend exposing sample_batch, "
-                f"got {[b.name for b in self.backends]}"
-            )
-        if executor is not None and max_workers is not None:
-            raise ValueError("pass either executor or max_workers, not both")
-        self._own_executor = executor is None
-        self._executor = executor or HybridExecutor(
-            max_threads=max_workers or max(2, 2 * len(self.backends))
-        )
-
-    def _fusable(self) -> bool:
-        """Whether the portfolio can take the fused fast path."""
-        return len(self.backends) == 1 and callable(
-            getattr(self.backends[0], "sample_batch", None)
-        )
-
-    @property
-    def executor(self) -> HybridExecutor:
-        """The :class:`HybridExecutor` this runner schedules onto."""
-        return self._executor
-
-    def _ensure_pool(self) -> cf.ThreadPoolExecutor:
-        return self._executor.threads
-
-    def run(self, problems: Iterable) -> list[PortfolioResult]:
-        """Solve every program in ``problems`` (envs or problem
-        instances), returning one :class:`PortfolioResult` each, in
-        order."""
-        items: Sequence = list(problems)
-        children = np.random.SeedSequence(self.seed).spawn(max(1, len(items)))
-        fuse = self._fusable() if self.fused is None else self.fused
-        with telemetry.span("runtime.batch", programs=len(items), fused=fuse):
-            if fuse and items:
-                return self._run_fused(items, children)
-            results = []
-            for item, child in zip(items, children):
-                results.append(
-                    solve(
-                        item,
-                        backends=self.backends,
-                        strategy=self.strategy,
-                        policy=self.policy,
-                        seed=child,
-                        pool=self._ensure_pool(),
-                    )
-                )
-            return results
-
-    def _run_fused(self, items: Sequence, children) -> list[PortfolioResult]:
-        """The fused fast path behind :meth:`run`.
-
-        One ``sample_batch`` call covers every program; each program's
-        best hard-feasible sample becomes its :class:`PortfolioResult`
-        (provenance marked ``fused``).  Programs whose fused samples are
-        all infeasible re-run through the ordinary per-program portfolio
-        (counted under ``runtime.batch.fallbacks``), so the fast path
-        never loses answers, only wall-clock.
-        """
-        backend = self.backends[0]
-        envs = [
-            item.build_env() if hasattr(item, "build_env") else item for item in items
-        ]
-        rngs = [np.random.default_rng(c) for c in children]
-        t0 = time.perf_counter()
-        sample_sets = backend.sample_batch(envs, rngs=rngs)
-        wall = time.perf_counter() - t0
-        telemetry.count("runtime.batch.fused_programs", len(items))
-        results: list[PortfolioResult] = []
-        fallbacks = 0
-        for item, ss, child in zip(items, sample_sets, children):
-            sol = best_valid(ss)
-            if sol is None:
-                fallbacks += 1
-                results.append(
-                    solve(
-                        item,
-                        backends=self.backends,
-                        strategy=self.strategy,
-                        policy=self.policy,
-                        seed=child,
-                        pool=self._ensure_pool(),
-                    )
-                )
-                continue
-            record = AttemptRecord(
-                backend=backend.name,
-                attempt=1,
-                status="ok",
-                wall_s=wall,
-                soft_satisfied=sol.soft_satisfied,
-                energy=sol.energy,
-                metadata={"fused": True},
-            )
-            result = PortfolioResult(
-                solution=sol,
-                winner=backend.name,
-                strategy=self.strategy.name,
-                wall_s=wall,
-                seed=self.seed,
-                attempts=[record],
-                candidates=[sol],
-                degraded=False,
-            )
-            sol.metadata["portfolio"] = result.provenance()
-            results.append(result)
-        if fallbacks:
-            telemetry.count("runtime.batch.fallbacks", fallbacks)
-        return results
-
-    def close(self) -> None:
-        """Shut down the private executor (without waiting for abandoned
-        work).  A shared executor passed at construction is left running
-        for its owner to close."""
-        if self._own_executor and not self._executor.closed:
-            max_threads = self._executor._max_threads
-            self._executor.shutdown(wait=False)
-            # Stay usable after close(), as the thread-pool version was:
-            # a fresh lazy executor costs nothing until the next run().
-            self._executor = HybridExecutor(max_threads=max_threads)
-
-    def __enter__(self) -> "BatchRunner":
-        """Context-manager entry: returns the runner itself."""
-        return self
-
-    def __exit__(self, *exc) -> None:
-        """Context-manager exit: releases the pool via :meth:`close`."""
-        self.close()

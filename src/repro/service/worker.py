@@ -7,12 +7,12 @@ mode hands it the live objects, process mode pickles the request (and
 the cached :class:`~repro.compile.program.CompiledProgram`, when the
 front-end had one) across the pool boundary.
 
-The nested :func:`repro.runtime.solve` call always runs with
-``pool=None``: job bodies already occupy shared-executor threads, and
-borrowing more of them for portfolio attempts could deadlock the pool
-against itself (every worker waiting for an attempt slot another
-worker holds).  A private per-call attempt pool keeps the two layers'
-budgets independent.
+The nested :func:`repro.runtime.solve` call runs its attempts on its
+own per-call pool: job bodies already occupy shared-executor threads,
+and borrowing more of them for portfolio attempts could deadlock the
+pool against itself (every worker waiting for an attempt slot another
+worker holds).  The private attempt pool keeps the two layers' budgets
+independent.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ def execute_request(
         timeout=request.timeout,
         retries=request.retries,
         seed=request.seed,
-        pool=None,
         program=program,
     )
     return program, result

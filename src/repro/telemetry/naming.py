@@ -31,14 +31,13 @@ KNOWN_SPAN_PREFIXES: frozenset[str] = frozenset(
     }
 )
 
-#: Declared two-level families under existing prefixes: the
-#: sparse/batched numeric core's kernel-path counters
-#: (``anneal.sparse.*``), fused multi-program job metrics
-#: (``anneal.batch.*``, ``runtime.batch.*`` — see ``docs/numerics.md``),
-#: the solve-service request path (``service.admission.*`` decision
-#: counters, ``service.cache.*`` memoization outcomes,
-#: ``service.tenant.*`` per-tenant latency histograms — see
-#: ``docs/service.md``), and the encoding portfolio's candidate/selection
+#: Declared two-level families under existing prefixes: the sparse
+#: numeric core's kernel-path counters (``anneal.sparse.*`` — see
+#: ``docs/numerics.md``), the solve-service request path
+#: (``service.admission.*`` decision counters, ``service.cache.*``
+#: memoization outcomes, ``service.tenant.*`` per-tenant latency
+#: histograms — see ``docs/service.md``), and the encoding portfolio's
+#: candidate/selection
 #: counters (``compile.encoding.*`` — per-strategy candidate counts,
 #: verification outcomes, and selection results; see
 #: ``docs/encodings.md``).  REP301 validates prefixes;
@@ -47,8 +46,6 @@ KNOWN_SPAN_PREFIXES: frozenset[str] = frozenset(
 KNOWN_NAME_FAMILIES: frozenset[str] = frozenset(
     {
         "anneal.sparse",
-        "anneal.batch",
-        "runtime.batch",
         "service.admission",
         "service.cache",
         "service.tenant",

@@ -52,14 +52,14 @@ class TestTranspile:
     def test_output_respects_coupling(self):
         rng = np.random.default_rng(0)
         coupling = brooklyn_coupling_map()
-        transpiler = Transpiler(coupling, seed=0)
+        transpiler = Transpiler(coupling)
         for trial in range(3):
             circ = random_circuit(rng, 8, 30)
             result = transpiler.transpile(circ)
             assert_respects_coupling(result.circuit, coupling)
 
     def test_output_is_basis_only(self):
-        transpiler = Transpiler(brooklyn_coupling_map(), seed=0)
+        transpiler = Transpiler(brooklyn_coupling_map())
         circ = Circuit(3)
         circ.add("h", 0)
         circ.add("rzz", (0, 2), 0.4)
@@ -68,7 +68,7 @@ class TestTranspile:
 
     def test_adjacent_gates_need_no_swaps(self):
         coupling = linear_coupling(4)
-        transpiler = Transpiler(coupling, seed=0)
+        transpiler = Transpiler(coupling)
         circ = Circuit(2)
         circ.add("rzz", (0, 1), 0.3)
         result = transpiler.transpile(circ)
@@ -77,7 +77,7 @@ class TestTranspile:
     def test_distant_gates_need_swaps(self):
         """On a line, interacting a triangle of qubits forces swaps."""
         coupling = linear_coupling(6)
-        transpiler = Transpiler(coupling, seed=0)
+        transpiler = Transpiler(coupling)
         circ = Circuit(3)
         circ.add("rzz", (0, 1), 0.1)
         circ.add("rzz", (1, 2), 0.1)
@@ -93,17 +93,17 @@ class TestTranspile:
 
     def test_full_coupling_never_swaps(self):
         rng = np.random.default_rng(1)
-        transpiler = Transpiler(full_coupling(8), seed=0)
+        transpiler = Transpiler(full_coupling(8))
         circ = random_circuit(rng, 8, 40)
         assert transpiler.transpile(circ).num_swaps == 0
 
     def test_too_many_qubits_rejected(self):
-        transpiler = Transpiler(linear_coupling(3), seed=0)
+        transpiler = Transpiler(linear_coupling(3))
         with pytest.raises(ValueError):
             transpiler.transpile(Circuit(4))
 
     def test_layout_covers_all_logical_qubits(self):
-        transpiler = Transpiler(brooklyn_coupling_map(), seed=0)
+        transpiler = Transpiler(brooklyn_coupling_map())
         circ = random_circuit(np.random.default_rng(2), 6, 20)
         result = transpiler.transpile(circ)
         assert set(result.initial_layout) == set(range(6))
@@ -116,7 +116,7 @@ class TestTranspile:
 
         rng = np.random.default_rng(3)
         coupling = linear_coupling(4)
-        transpiler = Transpiler(coupling, seed=0)
+        transpiler = Transpiler(coupling)
         circ = random_circuit(rng, 4, 12)
         result = transpiler.transpile(circ)
 
@@ -141,6 +141,6 @@ class TestTranspile:
         the paper's routing-cost mechanism."""
         rng = np.random.default_rng(4)
         circ = random_circuit(rng, 6, 30)
-        line = Transpiler(linear_coupling(6), seed=0).transpile(circ)
-        full = Transpiler(full_coupling(6), seed=0).transpile(circ)
+        line = Transpiler(linear_coupling(6)).transpile(circ)
+        full = Transpiler(full_coupling(6)).transpile(circ)
         assert line.depth >= full.depth

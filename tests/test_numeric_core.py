@@ -1,14 +1,14 @@
-"""The sparse + batched numeric-core contract (see docs/numerics.md).
+"""The dense + sparse numeric-core contract (see docs/numerics.md).
 
 Five groups:
 
 * layout round-trips — ``to_sparse``/``from_sparse`` against the dense
   layout, for both QUBO and Ising forms;
 * energy-kernel agreement — Hypothesis property tests that the dense
-  einsum, the CSR kernel, and the batched kernel agree on random QUBOs;
-* the equivalence matrix — dense / sparse / fused-batch annealing with
-  identical seeds produce bit-identical ``SampleResult``s (dyadic
-  coefficients, so field sums are exact);
+  einsum and the CSR kernel agree on random QUBOs;
+* the equivalence matrix — dense and sparse annealing with identical
+  seeds produce bit-identical ``SampleResult``s (dyadic coefficients, so
+  field sums are exact);
 * the sweep-kernel oracle — the blocked kernel against a verbatim copy
   of the per-class loop it replaced, on ICE-noised physical models and
   ``normal()`` models, bit for bit in samples, energies, generator
@@ -33,12 +33,11 @@ from repro.annealing.sampler import (
     _class_uniforms,
     _independent_classes,
 )
-from repro.classical import BATCH_ENUMERATION_BITS, EXHAUSTIVE_LIMIT, ExactQUBOSolver
+from repro.classical import EXHAUSTIVE_LIMIT
 from repro.qubo import (
     EXHAUSTIVE_SEARCH_LIMIT,
     HAVE_SCIPY,
     QUBO,
-    batched_energies,
     coupling_density,
     enumerate_assignments,
     from_dense,
@@ -184,23 +183,8 @@ def test_ising_sparse_and_dense_energies_agree(case):
     assert np.allclose(dense, sparse, atol=ATOL)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 8))
-def test_batched_energies_matches_per_program_loop(seed, num_programs, n):
-    rng = np.random.default_rng(seed)
-    qubos = [random_qubo(rng, n, density=0.5) for _ in range(num_programs)]
-    names = [f"v{i:03d}" for i in range(n)]
-    X = rng.integers(0, 2, size=(10, n)).astype(float)
-    stacked = np.stack([to_dense(q, names)[0] for q in qubos])
-    offsets = np.array([q.offset for q in qubos])
-    E = batched_energies(stacked, offsets, X)
-    assert E.shape == (num_programs, 10)
-    for p, q in enumerate(qubos):
-        assert np.allclose(E[p], q.energies(X, names), atol=ATOL)
-
-
 # ----------------------------------------------------------------------
-# The equivalence matrix: dense / sparse / fused batch, identical seeds
+# The equivalence matrix: dense / sparse, identical seeds
 # ----------------------------------------------------------------------
 @needs_scipy
 class TestEquivalenceMatrix:
@@ -228,56 +212,6 @@ class TestEquivalenceMatrix:
         assert np.array_equal(out["dense"].spins, out["sparse"].spins)
         assert np.array_equal(out["dense"].energies, out["sparse"].energies)
         assert out["dense"].variables == out["sparse"].variables
-
-    @pytest.mark.parametrize("representation", ["dense", "sparse"])
-    def test_fused_batch_matches_solo_per_program(self, representation):
-        rng = np.random.default_rng(7)
-        models = [random_ising(rng, n, density=0.1) for n in (40, 25, 33)]
-        sampler = SimulatedAnnealingSampler(self.SCHEDULE)
-        fused = sampler.sample_batch(
-            models, num_reads=12, seed=123, representation=representation
-        )
-        children = np.random.SeedSequence(123).spawn(len(models))
-        for m, child, f in zip(models, children, fused):
-            solo = sampler.sample(
-                m,
-                num_reads=12,
-                rng=np.random.default_rng(child),
-                representation=representation,
-            )
-            assert np.array_equal(f.spins, solo.spins)
-            assert np.array_equal(f.energies, solo.energies)
-
-    def test_fused_batch_dense_equals_fused_batch_sparse(self):
-        rng = np.random.default_rng(8)
-        models = [random_ising(rng, n, density=0.1) for n in (30, 45)]
-        sampler = SimulatedAnnealingSampler(self.SCHEDULE)
-        dense = sampler.sample_batch(models, num_reads=10, seed=9, representation="dense")
-        sparse = sampler.sample_batch(models, num_reads=10, seed=9, representation="sparse")
-        for a, b in zip(dense, sparse):
-            assert np.array_equal(a.spins, b.spins)
-            assert np.array_equal(a.energies, b.energies)
-
-    def test_batch_handles_empty_and_degenerate_models(self):
-        sampler = SimulatedAnnealingSampler(self.SCHEDULE)
-        assert sampler.sample_batch([], num_reads=4) == []
-        out = sampler.sample_batch(
-            [IsingModel(offset=2.5), random_ising(np.random.default_rng(9), 5)],
-            num_reads=4,
-            seed=0,
-        )
-        assert out[0].spins.shape == (4, 0)
-        assert np.allclose(out[0].energies, 2.5)
-        assert out[1].spins.shape == (4, 5)
-
-    def test_batch_validates_rngs_and_variables(self):
-        sampler = SimulatedAnnealingSampler(self.SCHEDULE)
-        models = [random_ising(np.random.default_rng(10), 5)]
-        with pytest.raises(ValueError, match="one rng per model"):
-            sampler.sample_batch(models, rngs=[])
-        with pytest.raises(ValueError, match="one variable order per model"):
-            sampler.sample_batch(models, seed=0, variables=[])
-
 
 # ----------------------------------------------------------------------
 # The blocked sweep kernel against the per-class loop it replaced
@@ -328,56 +262,6 @@ def oracle_sample(model, num_reads, rng, schedule, representation):
     return S.astype(np.int8), model.energies(S, order, representation=chosen)
 
 
-def oracle_sample_batch(models, num_reads, rngs, schedule, representation):
-    """``SimulatedAnnealingSampler.sample_batch``'s fusion around the oracle loop.
-
-    One block-diagonal problem, classes merged rank by rank, and each
-    class's draws concatenated from every program's own stream.
-    """
-    orders = [m.variables for m in models]
-    sizes = [len(order) for order in orders]
-    offsets = np.cumsum([0] + sizes[:-1])
-    built = [_build_coupling(m, o, representation) for m, o in zip(models, orders)]
-    h = np.concatenate([b[0] for b in built])
-    if representation == "sparse":
-        import scipy.sparse as sp
-
-        J = sp.block_diag([b[1] for b in built], format="csr")
-        J.sort_indices()
-    else:
-        J = np.zeros((sum(sizes), sum(sizes)))
-        for (_, block), off, n in zip(built, offsets, sizes):
-            J[off : off + n, off : off + n] = block
-    per_program = [_independent_classes(b[1]) for b in built]
-    classes, segments = [], []
-    for k in range(max(len(c) for c in per_program)):
-        parts = [(i, c[k]) for i, c in enumerate(per_program) if k < len(c)]
-        classes.append(np.concatenate([cls + offsets[i] for i, cls in parts]))
-        segments.append([(i, cls.size) for i, cls in parts])
-    S = np.concatenate(
-        [
-            rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, n)).astype(np.float64)
-            for rng, n in zip(rngs, sizes)
-        ],
-        axis=1,
-    )
-    oracle_sweeps(
-        S,
-        h,
-        J,
-        classes,
-        schedule.betas(),
-        lambda k: np.concatenate(
-            [rngs[i].random((num_reads, m)) for i, m in segments[k]], axis=1
-        ),
-    )
-    blocks = [S[:, off : off + n] for off, n in zip(offsets, sizes)]
-    return [
-        (block.astype(np.int8), m.energies(block, o, representation=representation))
-        for m, o, block in zip(models, orders, blocks)
-    ]
-
-
 def normal_ising(rng, n, density) -> IsingModel:
     """``normal()`` coefficients: field sums round, unlike the dyadic models."""
     h = {f"s{i:03d}": float(rng.normal()) for i in range(n)}
@@ -415,7 +299,7 @@ def noisy_physical_models():
         program = point.instance.build_env().to_qubo()
         rng = np.random.default_rng(3)
         embedding = device.embed(program, rng=rng)
-        physical, _ = device._embedded_model(qubo_to_ising(program.qubo), embedding)
+        physical = device._embedded_model(qubo_to_ising(program.qubo), embedding)
         noisy = device.profile.noise.apply(physical, rng)
         scale = noisy.max_abs_coefficient()
         out[name] = (
@@ -461,43 +345,6 @@ class TestSweepKernelOracle:
             assert np.array_equal(got.spins, spins), name
             assert_same_bits(got.energies, energies)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, name
-
-    @pytest.mark.parametrize("representation", ["dense", "sparse"])
-    def test_sample_batch_matches_the_fused_oracle(self, noisy_physical_models, representation):
-        models = [m for m, _ in noisy_physical_models.values()]
-        models += [normal_ising(np.random.default_rng(n), n, 0.1) for n in (30, 70)]
-        schedule = AnnealSchedule(beta_min=0.05, beta_max=10.0, num_sweeps=32)
-        rngs = [np.random.default_rng(40 + i) for i in range(len(models))]
-        oracle_rngs = [np.random.default_rng(40 + i) for i in range(len(models))]
-        fused = SimulatedAnnealingSampler(schedule).sample_batch(
-            models, num_reads=16, rngs=rngs, representation=representation
-        )
-        expected = oracle_sample_batch(models, 16, oracle_rngs, schedule, representation)
-        for i, (result, (spins, energies)) in enumerate(zip(fused, expected)):
-            assert np.array_equal(result.spins, spins), i
-            assert_same_bits(result.energies, energies)
-            assert rngs[i].bit_generator.state == oracle_rngs[i].bit_generator.state, i
-
-    def test_sparse_sample_batch_matches_one_oracle_call_per_program(
-        self, noisy_physical_models
-    ):
-        """Fused CSR rows hold each program's entries in the solo order, so
-        the fused fields, and samples, are the solo ones even where sums
-        round (a fused dense product sums over the zeros between blocks,
-        which BLAS may group differently)."""
-        models = [m for m, _ in noisy_physical_models.values()]
-        models += [normal_ising(np.random.default_rng(n), n, 0.1) for n in (30, 70)]
-        schedule = AnnealSchedule(beta_min=0.05, beta_max=10.0, num_sweeps=32)
-        rngs = [np.random.default_rng(40 + i) for i in range(len(models))]
-        fused = SimulatedAnnealingSampler(schedule).sample_batch(
-            models, num_reads=16, rngs=rngs, representation="sparse"
-        )
-        for i, (model, result) in enumerate(zip(models, fused)):
-            oracle_rng = np.random.default_rng(40 + i)
-            spins, energies = oracle_sample(model, 16, oracle_rng, schedule, "sparse")
-            assert np.array_equal(result.spins, spins), i
-            assert_same_bits(result.energies, energies)
-            assert rngs[i].bit_generator.state == oracle_rng.bit_generator.state, i
 
     @pytest.mark.parametrize("representation", ["dense", "sparse"])
     def test_class_fields_match_the_per_class_expressions(
@@ -563,7 +410,6 @@ class TestDensityHeuristic:
 class TestExhaustiveCap:
     def test_classical_alias_is_the_shared_constant(self):
         assert EXHAUSTIVE_LIMIT is EXHAUSTIVE_SEARCH_LIMIT
-        assert BATCH_ENUMERATION_BITS <= EXHAUSTIVE_SEARCH_LIMIT
 
     def test_enumerate_assignments_refuses_above_cap(self):
         with pytest.raises(ValueError, match="EXHAUSTIVE_SEARCH_LIMIT"):
@@ -581,97 +427,11 @@ class TestExhaustiveCap:
 
 
 # ----------------------------------------------------------------------
-# Batched classical solving
-# ----------------------------------------------------------------------
-class TestSolveBatch:
-    def test_matches_solo_solve(self):
-        rng = np.random.default_rng(11)
-        qubos = [random_qubo(rng, int(rng.integers(1, 9)), 0.5) for _ in range(6)]
-        qubos.append(QUBO(offset=1.5))  # zero-variable program
-        solver = ExactQUBOSolver()
-        batch = solver.solve_batch(qubos)
-        assert len(batch) == len(qubos)
-        for q, (e, assignment) in zip(qubos, batch):
-            e_solo, a_solo = solver.solve(q)
-            assert e == pytest.approx(e_solo, abs=ATOL)
-            assert q.energy(assignment) == pytest.approx(e, abs=ATOL) if assignment else True
-
-    def test_groups_share_one_enumeration(self):
-        rng = np.random.default_rng(12)
-        qubos = [random_qubo(rng, 6, 0.5) for _ in range(4)]
-        solver = ExactQUBOSolver()
-        for q, (e, a) in zip(qubos, solver.solve_batch(qubos)):
-            assert q.energy(a) == pytest.approx(e, abs=ATOL)
-
-
-# ----------------------------------------------------------------------
-# Fused runtime batch path
-# ----------------------------------------------------------------------
-class TestFusedBatchRunner:
-    def _envs(self, count=2):
-        from repro.core.env import Env
-
-        envs = []
-        for k in range(count):
-            env = Env()
-            ports = [env.register_port(f"p{i}") for i in range(3)]
-            env.nck(ports, {1 + (k % 2)})
-            envs.append(env)
-        return envs
-
-    def _backend(self, **kwargs):
-        from repro.annealing.device import AnnealingDevice, AnnealingDeviceProfile
-        from repro.runtime.backends import AnnealingBackend
-
-        return AnnealingBackend(
-            device=AnnealingDevice(AnnealingDeviceProfile.small_test()),
-            num_reads=16,
-            **kwargs,
-        )
-
-    def test_fused_path_produces_marked_provenance(self):
-        from repro.runtime.executor import BatchRunner
-
-        with BatchRunner(backends=[self._backend()], seed=3) as runner:
-            results = runner.run(self._envs())
-        assert len(results) == 2
-        for r in results:
-            assert r.solution.all_hard_satisfied
-            assert r.attempts[0].metadata.get("fused") is True
-            assert r.solution.metadata["portfolio"]["winner"] == r.winner
-
-    def test_fused_flag_validation_and_opt_out(self):
-        from repro.runtime.executor import BatchRunner
-
-        with pytest.raises(ValueError, match="fused=True"):
-            BatchRunner(backends=["classical"], fused=True)
-        with BatchRunner(backends=[self._backend()], seed=3, fused=False) as runner:
-            results = runner.run(self._envs())
-        for r in results:
-            assert not r.attempts[0].metadata.get("fused")
-
-    def test_multi_backend_portfolio_never_fuses(self):
-        from repro.runtime.executor import BatchRunner
-
-        runner = BatchRunner(backends=["classical", "annealing"])
-        assert not runner._fusable()
-
-    def test_device_sample_batch_shapes(self):
-        backend = self._backend()
-        envs = self._envs(3)
-        sets = backend.sample_batch(envs, seed=5)
-        assert len(sets) == 3
-        for ss in sets:
-            assert len(ss.solutions) == 16
-            assert "broken_chains" in ss.metadata
-
-
-# ----------------------------------------------------------------------
 # Telemetry naming
 # ----------------------------------------------------------------------
 def test_new_telemetry_families_are_canonical():
     from repro.telemetry import KNOWN_NAME_FAMILIES, is_canonical_name
 
-    assert {"anneal.sparse", "anneal.batch", "runtime.batch"} <= KNOWN_NAME_FAMILIES
+    assert "anneal.sparse" in KNOWN_NAME_FAMILIES
     for family in KNOWN_NAME_FAMILIES:
         assert is_canonical_name(f"{family}.reads")

@@ -82,7 +82,7 @@ class TestTranspilerProperties:
             else:
                 a, b = rng.choice(4, size=2, replace=False)
                 circ.add("rzz", (int(a), int(b)), float(rng.normal()))
-        result = Transpiler(coupling, seed=0).transpile(circ)
+        result = Transpiler(coupling).transpile(circ)
         for g in result.circuit.gates:
             if g.num_qubits == 2:
                 assert coupling.has_edge(*g.qubits)
@@ -99,7 +99,7 @@ class TestTranspilerProperties:
             else:
                 a, b = rng.choice(4, size=2, replace=False)
                 circ.add("rzz", (int(a), int(b)), float(rng.normal()))
-        result = Transpiler(coupling, seed=0).transpile(circ)
+        result = Transpiler(coupling).transpile(circ)
         sim = StatevectorSimulator()
         p_logical = sim.probabilities(circ)
         p_physical = sim.probabilities(result.circuit)

@@ -14,7 +14,6 @@ from repro.core.solution import SampleSet, Solution
 from repro.core.types import UnsatisfiableError
 from repro.runtime import (
     AnnealingBackend,
-    BatchRunner,
     PortfolioError,
     PortfolioPolicy,
     get_strategy,
@@ -269,31 +268,6 @@ class TestProvenanceAndTelemetry:
         finally:
             telemetry.disable()
         assert "portfolio runtime" not in report
-
-
-class TestBatchRunner:
-    def test_batch_solves_many_programs_through_one_pool(self):
-        from repro.problems import MinVertexCover, circulant_graph
-
-        problems = [MinVertexCover(circulant_graph(n)) for n in (5, 6, 7)]
-        with BatchRunner(backends=["classical"], strategy="fallback", seed=5) as runner:
-            results = runner.run(problems)
-        assert len(results) == 3
-        assert all(r.solution.all_hard_satisfied for r in results)
-
-    def test_batch_is_reproducible_per_program(self):
-        def run():
-            with BatchRunner(backends=["classical"], seed=11) as runner:
-                return runner.run([two_var_env(), two_var_env()])
-
-        first, second = run(), run()
-        assert [r.solution.assignment for r in first] == [
-            r.solution.assignment for r in second
-        ]
-
-    def test_batch_rejects_policy_plus_shorthand(self):
-        with pytest.raises(ValueError, match="not both"):
-            BatchRunner(backends=["classical"], policy=PortfolioPolicy(), timeout=1.0)
 
 
 class TestCLI:

@@ -14,7 +14,7 @@ from repro.core.solution import SampleSet, Solution
 from repro.core.types import UnsatisfiableError
 from repro.annealing.device import AnnealingDevice
 from repro.circuit.device import CircuitDevice
-from repro.runtime import BatchRunner, HybridExecutor
+from repro.runtime import HybridExecutor
 from repro.runtime.backends import (
     BACKEND_FACTORIES,
     ClassicalBackend,
@@ -322,7 +322,7 @@ class TestFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# HybridExecutor + BatchRunner integration
+# HybridExecutor
 # ---------------------------------------------------------------------------
 
 
@@ -357,19 +357,6 @@ class TestHybridExecutor:
         assert "threads=live" in repr(executor)
         assert "processes=lazy" in repr(executor)
         executor.shutdown()
-
-    def test_batch_runner_shares_executor(self):
-        with HybridExecutor(max_threads=2) as executor:
-            runner = BatchRunner(backends="classical", executor=executor)
-            assert runner.executor is executor
-            results = runner.run([two_var_env()])
-            assert results[0].solution.hard_satisfied
-            runner.close()  # must NOT shut down the shared executor
-            assert not executor.closed
-
-    def test_batch_runner_rejects_executor_plus_max_workers(self):
-        with pytest.raises(ValueError):
-            BatchRunner(backends="classical", executor=HybridExecutor(), max_workers=2)
 
 
 # ---------------------------------------------------------------------------
