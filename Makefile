@@ -36,7 +36,7 @@ bench:           ## regenerate every table & figure
 bench-smoke:     ## tiny-budget benches: portfolio runtime + compiler pipeline + certification + sparse-kernel gate + solve service + encoding-portfolio gate
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_runtime.py benchmarks/bench_compile_pipeline.py benchmarks/bench_certify.py "benchmarks/bench_kernels.py::test_sparse_kernel_gate" benchmarks/bench_service.py "benchmarks/bench_encodings.py::test_inequality_portfolio_gate" --benchmark-only -s
 
-bench-compile:   ## compiler-pipeline bench (cold vs warm disk cache, serial vs jobs)
+bench-compile:   ## compiler-pipeline bench (cold vs warm disk cache)
 	$(PYTHON) -m pytest benchmarks/bench_compile_pipeline.py --benchmark-only -s
 
 trace-table1:    ## smoke-run the telemetry pipeline end to end

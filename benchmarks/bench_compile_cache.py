@@ -58,4 +58,4 @@ def test_compile_cache_ablation(benchmark, full_scale):
     assert max(r.uncached_over_solve for r in rows) > 10.0
 
     env = instances[0].build_env()
-    benchmark(lambda: env.to_qubo(cache=True))
+    benchmark(lambda: env.to_qubo())

@@ -14,7 +14,7 @@ Usage::
         [--backends classical,annealing] [--strategy race] \\
         [--timeout S] [--retries K] [--seed N]
     python -m repro compile 3sat --n 20 \\
-        [--jobs N] [--cache-dir DIR] [--no-disk-cache] [--no-cache]
+        [--cache-dir DIR] [--no-disk-cache] [--encoding MODE]
     python -m repro lint vertex-cover --n 20 \\
         [--json] [--min-severity LEVEL] [--hard-scale X] [--qubit-budget Q]
     python -m repro lint --self [--json] [--min-severity LEVEL]
@@ -34,8 +34,7 @@ QAOA backends — then prints the winning solution and the per-attempt
 provenance.  ``compile`` runs the same instance through the staged
 compiler pipeline only (see ``docs/compiler.md``) and prints the QUBO
 shape, the per-pass provenance table, and the in-memory/on-disk cache
-statistics — with ``--jobs N`` fanning MILP synthesis over worker
-processes and ``--cache-dir DIR`` pointing the persistent template
+statistics — with ``--cache-dir DIR`` pointing the persistent template
 store somewhere explicit.  ``lint`` runs the static analyzers of
 :mod:`repro.analysis` — over a generated program, or over the repro
 codebase itself with ``--self`` (the per-module REP1xx–4xx rules) —
@@ -322,12 +321,6 @@ def _configure_compile(parser: argparse.ArgumentParser) -> None:
         "--n", type=int, default=12, help="instance size (nodes/elements/variables)"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for MILP-bound template synthesis",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -337,11 +330,6 @@ def _configure_compile(parser: argparse.ArgumentParser) -> None:
         "--no-disk-cache",
         action="store_true",
         help="disable the on-disk template store for this run",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable template caching entirely (the ablation mode)",
     )
     from .compile.encodings import encoding_modes
 
@@ -365,14 +353,12 @@ def _compile(args) -> None:
     print(f"problem  {args.problem} --n {args.n}: {env!r}")
     try:
         compiled = env.to_qubo(
-            cache=not args.no_cache,
-            jobs=args.jobs,
-            disk_cache=False if (args.no_disk_cache or args.no_cache) else None,
-            cache_dir=None if args.no_cache else args.cache_dir,
+            disk_cache=False if args.no_disk_cache else None,
+            cache_dir=args.cache_dir,
             encoding=args.encoding,
         )
     except ValueError as err:
-        # Invalid option combinations (e.g. --no-cache with --jobs > 1)
+        # Invalid option combinations (--cache-dir with --no-disk-cache)
         # follow the argparse convention: message on stderr, exit 2.
         print(f"repro compile: error: {err}", file=sys.stderr)
         raise SystemExit(2) from None

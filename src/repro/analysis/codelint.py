@@ -63,7 +63,6 @@ DOCSTRING_MODULES: tuple[str, ...] = (
     "compile/pipeline/__init__.py",
     "compile/pipeline/base.py",
     "compile/pipeline/canonicalize.py",
-    "compile/pipeline/plan.py",
     "compile/pipeline/store.py",
     "compile/pipeline/synthesis.py",
     "compile/pipeline/assemble.py",

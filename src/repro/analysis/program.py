@@ -23,11 +23,10 @@ NCK301   warning   estimated qubit demand (variables + ancillas) exceeds
                    the given device qubit budget
 =======  ========  =====================================================
 
-The compiler pipeline runs this linter as an opt-out pre-pass
-(``PipelineConfig(lint=False)`` disables it); error-severity findings
-abort compilation before synthesis, exactly as the later canonicalize
-pass would, but with the full diagnostic list recorded in pass
-provenance first.  See ``docs/analysis.md`` for the rule catalog with
+The compiler pipeline runs this linter as a pre-pass on every
+compile; error-severity findings abort compilation before synthesis,
+with the message the canonicalize pass raises when run on its own, but
+with the full diagnostic list recorded in pass provenance first.  See ``docs/analysis.md`` for the rule catalog with
 worked examples.
 """
 

@@ -21,7 +21,7 @@ the Section VIII-C timing constants.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import networkx as nx

@@ -31,7 +31,7 @@ gauge), as the paper's Ocean path submits one program per job.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

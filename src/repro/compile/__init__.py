@@ -1,7 +1,7 @@
 """Constraint → QUBO compilation (the paper's Section V pipeline).
 
 Compilation runs through the staged pipeline in
-:mod:`repro.compile.pipeline` (canonicalize → plan → synthesize →
+:mod:`repro.compile.pipeline` (lint → canonicalize → synthesize →
 assemble); :func:`compile_program` is the public entry point and
 ``docs/compiler.md`` the narrative description.
 """

@@ -17,9 +17,9 @@ symmetry of the TRUE-count.
 The staged compiler (:mod:`repro.compile.pipeline`) is the one consumer.
 Its synthesize pass keeps the in-memory cache, a dict of templates keyed
 by :func:`template_key`, above the on-disk
-:class:`~repro.compile.pipeline.store.TemplateStore`; it calls
-:func:`build_template` / :func:`instantiate_template` itself, so it can
-synthesize templates in parallel.
+:class:`~repro.compile.pipeline.store.TemplateStore` and calls
+:func:`build_template` on a miss; its assemble pass calls
+:func:`instantiate_template` once per constraint.
 """
 
 from __future__ import annotations

@@ -69,7 +69,6 @@ from ..core.types import Constraint
 from ..qubo.model import QUBO
 from .closed_forms import _exactly_k, _interval_slack, _two_point, closed_form_qubo
 from .synthesize import (
-    GAP,
     SynthesisResult,
     _penalty_is_exact,
     _synthesize_search,

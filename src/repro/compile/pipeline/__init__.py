@@ -1,21 +1,19 @@
-"""The staged compiler pipeline: canonicalize → plan → synthesize → assemble.
+"""The staged compiler pipeline: lint → canonicalize → synthesize → assemble.
 
 :func:`run_pipeline` is the engine behind
-:func:`repro.compile.compile_program`.  Compilation starts with an
-opt-out **lint** pre-pass (:mod:`repro.analysis.program`, disabled via
-``PipelineConfig(lint=False)``) whose error-severity findings abort
-before any synthesis work, followed by four explicit passes over an
-intermediate representation:
+:func:`repro.compile.compile_program`.  Compilation starts with a
+**lint** pre-pass (:mod:`repro.analysis.program`) whose error-severity
+findings abort before any synthesis work, followed by three explicit
+passes over an intermediate representation:
 
 1. **canonicalize** (:mod:`.canonicalize`) — intern variables and
    deduplicate constraints into template classes keyed by
    :func:`~repro.compile.cache.template_key`;
-2. **plan** (:mod:`.plan`) — classify each class into closed-form / LP /
-   MILP synthesis tiers and emit an ordered work-list;
-3. **synthesize** (:mod:`.synthesis`) — resolve each class's template
+2. **synthesize** (:mod:`.synthesis`) — resolve each class's template
    from the on-disk :class:`~repro.compile.pipeline.store.TemplateStore`
-   or by fresh synthesis, optionally in parallel worker processes;
-4. **assemble** (:mod:`.assemble`) — instantiate, scale, and sum into
+   or by fresh synthesis, then run the encoding portfolio under a
+   non-``auto`` encoding mode;
+3. **assemble** (:mod:`.assemble`) — instantiate, scale, and sum into
    the final :class:`~repro.compile.program.CompiledProgram`.
 
 An opt-in **certify** post-pass (``PipelineConfig(certify=True)``,
@@ -43,14 +41,6 @@ from ... import telemetry
 from .assemble import assemble
 from .base import CACHE_DIR_ENV, PassProvenance, PipelineConfig
 from .canonicalize import CanonicalProgram, ClassMember, ConstraintClass, canonicalize
-from .plan import (
-    TIER_CLOSED_FORM,
-    TIER_LP,
-    TIER_MILP,
-    SynthesisPlan,
-    WorkItem,
-    plan,
-)
 from .store import SCHEMA_VERSION, TemplateStore
 from .synthesis import SynthesisOutcome, synthesize
 
@@ -61,21 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CACHE_DIR_ENV",
     "SCHEMA_VERSION",
-    "TIER_CLOSED_FORM",
-    "TIER_LP",
-    "TIER_MILP",
     "CanonicalProgram",
     "ClassMember",
     "ConstraintClass",
     "PassProvenance",
     "PipelineConfig",
     "SynthesisOutcome",
-    "SynthesisPlan",
     "TemplateStore",
-    "WorkItem",
     "assemble",
     "canonicalize",
-    "plan",
     "run_pipeline",
     "synthesize",
 ]
@@ -85,10 +69,10 @@ def _lint_pre_pass(env: "Env", config: PipelineConfig) -> PassProvenance:
     """Run the program linter ahead of canonicalization.
 
     Error-severity findings abort compilation with
-    :class:`~repro.core.types.UnsatisfiableError` (same message the
-    canonicalize pass would raise); warnings and info findings are
-    tallied into the provenance record and the ``compile.lint.*``
-    counters but never change the compiled output.
+    :class:`~repro.core.types.UnsatisfiableError` (the same message the
+    canonicalize pass raises when run on its own); warnings and info
+    findings are tallied into the provenance record and the
+    ``compile.lint.*`` counters but never change the compiled output.
     """
     from ...analysis.diagnostics import Severity, severity_counts
     from ...analysis.program import lint_program
@@ -160,14 +144,13 @@ def _certify_post_pass(
 
 
 def run_pipeline(env: "Env", config: PipelineConfig) -> "CompiledProgram":
-    """Compile ``env`` through the four-pass pipeline under ``config``.
+    """Compile ``env`` through the pipeline under ``config``.
 
     Raises
     ------
     UnsatisfiableError
         If any single hard constraint is unsatisfiable in isolation
-        (raised by the lint pre-pass when enabled, or by the
-        canonicalize pass under ``lint=False``).
+        (raised by the lint pre-pass).
     """
     from ..program import ANCILLA_PREFIX, CompiledProgram
 
@@ -186,14 +169,12 @@ def run_pipeline(env: "Env", config: PipelineConfig) -> "CompiledProgram":
         "compile.program",
         constraints=len(env.constraints),
         variables=env.num_variables,
-        cache=config.cache,
     ) as tspan:
-        if config.lint:
-            provenance.append(_lint_pre_pass(env, config))
+        provenance.append(_lint_pre_pass(env, config))
 
         t0 = perf_counter()
         with telemetry.span("compile.pass.canonicalize"):
-            program = canonicalize(env, config)
+            program = canonicalize(env)
         provenance.append(
             PassProvenance(
                 name="canonicalize",
@@ -207,23 +188,10 @@ def run_pipeline(env: "Env", config: PipelineConfig) -> "CompiledProgram":
         )
 
         t0 = perf_counter()
-        with telemetry.span("compile.pass.plan"):
-            work = plan(program, config)
-        provenance.append(
-            PassProvenance(
-                name="plan",
-                wall_s=perf_counter() - t0,
-                items=len(work.items),
-                detail=work.tier_counts(),
-            )
-        )
-
-        t0 = perf_counter()
-        with telemetry.span("compile.pass.synthesize", jobs=config.jobs):
-            outcome = synthesize(work, config, ancilla_namer, store)
+        with telemetry.span("compile.pass.synthesize"):
+            outcome = synthesize(program, config, store)
         synth_detail = {
             "synthesized": outcome.synthesized,
-            "pooled": outcome.pooled,
             "disk_hits": outcome.disk_hits,
             "disk_misses": outcome.disk_misses,
         }
@@ -237,14 +205,14 @@ def run_pipeline(env: "Env", config: PipelineConfig) -> "CompiledProgram":
             PassProvenance(
                 name="synthesize",
                 wall_s=perf_counter() - t0,
-                items=len(work.items),
+                items=len(program.classes),
                 detail=synth_detail,
             )
         )
 
         t0 = perf_counter()
         with telemetry.span("compile.pass.assemble"):
-            fields = assemble(work, outcome, config, ancilla_namer)
+            fields = assemble(program, outcome, config, ancilla_namer)
         provenance.append(
             PassProvenance(
                 name="assemble",

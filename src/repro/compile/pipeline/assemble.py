@@ -1,4 +1,4 @@
-"""Pass 4 — assemble: instantiate, scale, and sum into the program QUBO.
+"""Pass 3 — assemble: instantiate, scale, and sum into the program QUBO.
 
 The final pass walks the original constraint order (positional alignment
 with ``env.constraints`` is part of the public contract): each member's
@@ -19,21 +19,21 @@ from typing import Callable
 
 from ...qubo.model import QUBO
 from ..cache import instantiate_template
-from ..synthesize import GAP, SynthesisResult
+from ..synthesize import GAP
 from .base import PipelineConfig
-from .plan import SynthesisPlan
+from .canonicalize import CanonicalProgram
 from .synthesis import SynthesisOutcome
 
 
 def assemble(
-    plan: SynthesisPlan,
+    program: CanonicalProgram,
     outcome: SynthesisOutcome,
     config: PipelineConfig,
     ancilla_namer: Callable[[], str],
 ) -> dict:
-    """Run pass 4; returns the fields of the final ``CompiledProgram``.
+    """Run pass 3; returns the fields of the final ``CompiledProgram``.
 
-    ``plan`` and ``outcome`` are the pass-2/3 products; ``config``
+    ``program`` and ``outcome`` are the pass-1/2 products; ``config``
     supplies the optional hard-scale override and ``ancilla_namer``
     yields program-unique ancilla names in constraint order.
 
@@ -42,27 +42,21 @@ def assemble(
     :func:`~repro.compile.pipeline.run_pipeline`, which owns the
     ``CompiledProgram`` construction and provenance attachment.
     """
-    program = plan.program
     slots: list = [None] * program.num_constraints
 
-    if config.cache:
-        # Instantiate members in constraint order so ancilla names match
-        # the monolithic compiler exactly.
-        by_index = sorted(
-            ((member, cls) for cls in program.classes for member in cls.members),
-            key=lambda pair: pair[0].index,
+    # Instantiate members in constraint order so ancilla names match
+    # the monolithic compiler exactly.
+    by_index = sorted(
+        ((member, cls) for cls in program.classes for member in cls.members),
+        key=lambda pair: pair[0].index,
+    )
+    for member, cls in by_index:
+        slots[member.index] = (
+            member.constraint,
+            instantiate_template(
+                outcome.templates[cls.key], member.constraint, ancilla_namer
+            ),
         )
-        for member, cls in by_index:
-            slots[member.index] = (
-                member.constraint,
-                instantiate_template(
-                    outcome.templates[cls.key], member.constraint, ancilla_namer
-                ),
-            )
-    else:
-        for cls in program.classes:
-            (member,) = cls.members
-            slots[member.index] = (member.constraint, outcome.direct[member.index])
 
     # Soft energy budget, accumulated in constraint order (float addition
     # order is part of byte-compatibility).

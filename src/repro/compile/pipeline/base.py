@@ -26,17 +26,9 @@ class PipelineConfig:
 
     Attributes
     ----------
-    cache:
-        Reuse QUBO templates across symmetric constraints (Definition 7).
-        Disabling reproduces the reference implementation's redundant
-        recomputation for the compile-cache ablation.
     hard_scale:
         Override for the hard-constraint scaling factor, or ``None`` for
         the computed default (total soft weight + 1).
-    jobs:
-        Worker processes for MILP-bound template synthesis.  ``1`` (the
-        default) synthesizes inline; larger values fan the synthesis
-        work-list out over a ``ProcessPoolExecutor``.
     disk_cache:
         Three-state switch for the on-disk template store: ``True`` /
         ``False`` force it, ``None`` enables it exactly when a cache
@@ -44,11 +36,6 @@ class PipelineConfig:
     cache_dir:
         Directory of the on-disk store; ``None`` defers to
         ``REPRO_CACHE_DIR`` and, failing that, the user cache home.
-    lint:
-        Run the :mod:`repro.analysis.program` pre-pass before
-        canonicalization (the default).  Error-severity findings abort
-        compilation; the pass never changes the compiled output, so
-        ``lint=False`` produces byte-identical programs on clean input.
     certify:
         Run the :mod:`repro.analysis.certify` post-pass after assembly
         (off by default).  The pass attaches a
@@ -65,17 +52,12 @@ class PipelineConfig:
         cost-model winner, gated on hard-dominance verification; a
         strategy name (``"penalty"``, ``"slack"``, ``"slack-free"``,
         ``"closed-form"``) forces that strategy where it applies and
-        verifies, falling back to the default elsewhere.  Non-default
-        modes require ``cache=True`` (selection operates on template
-        classes).
+        verifies, falling back to the default elsewhere.
     """
 
-    cache: bool = True
     hard_scale: float | None = None
-    jobs: int = 1
     disk_cache: bool | None = None
     cache_dir: str | None = None
-    lint: bool = True
     certify: bool = False
     encoding: str = "auto"
 
@@ -90,39 +72,17 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown encoding {self.encoding!r} (choose from: {known})"
             )
-        if self.encoding != "auto" and not self.cache:
-            raise ValueError(
-                "encoding != 'auto' requires cache=True: strategy selection "
-                "operates on deduplicated template classes, which cache=False "
-                "disables"
-            )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {self.jobs!r}")
-        if self.jobs > 1 and not self.cache:
-            raise ValueError(
-                "jobs > 1 requires cache=True: parallel synthesis operates on "
-                "deduplicated template classes, which cache=False disables"
-            )
         if self.cache_dir is not None and self.disk_cache is False:
             raise ValueError(
                 "cache_dir was given but disk_cache=False disables the disk "
                 "tier; drop one of the two"
             )
-        if self.disk_cache is True and not self.cache:
-            raise ValueError(
-                "disk_cache=True requires cache=True: the disk tier stores "
-                "shared templates, which cache=False disables"
-            )
-        if not isinstance(self.lint, bool):
-            raise ValueError(f"lint must be a bool, got {self.lint!r}")
         if not isinstance(self.certify, bool):
             raise ValueError(f"certify must be a bool, got {self.certify!r}")
 
     @property
     def disk_enabled(self) -> bool:
         """Whether the on-disk template tier participates in this run."""
-        if not self.cache:
-            return False
         if self.disk_cache is None:
             return self.cache_dir is not None or bool(os.environ.get(CACHE_DIR_ENV))
         return self.disk_cache
@@ -146,8 +106,8 @@ class PassProvenance:
     """What one pass did: name, wall time, and per-pass detail counters.
 
     ``items`` is the pass's natural unit of work (constraints seen,
-    work items planned, templates resolved, QUBOs summed); ``detail``
-    carries the pass-specific breakdown rendered by the CLI.
+    templates resolved, QUBOs summed); ``detail`` carries the
+    pass-specific breakdown rendered by the CLI.
     """
 
     name: str

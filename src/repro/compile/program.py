@@ -4,11 +4,10 @@ Each constraint compiles to a per-constraint QUBO whose valid assignments
 sit at energy 0 with a unit penalty gap; the program QUBO is their sum
 (QUBOs are compositional with respect to addition).
 
-Since the staged-pipeline refactor this module is the public façade:
-:func:`compile_program` validates its options into a
-:class:`~repro.compile.pipeline.PipelineConfig` and hands off to
-:func:`~repro.compile.pipeline.run_pipeline`, which runs the four passes
-(canonicalize → plan → synthesize → assemble) described in
+This module is the public façade: :func:`compile_program` validates
+its options into a :class:`~repro.compile.pipeline.PipelineConfig` and
+hands off to :func:`~repro.compile.pipeline.run_pipeline`, which runs
+the passes (lint → canonicalize → synthesize → assemble) described in
 ``docs/compiler.md``.  The pipeline's outputs are byte-compatible with
 the pre-pipeline monolithic compiler.
 
@@ -95,7 +94,7 @@ class CompiledProgram:
     #: forced strategy name.
     encoding: str = "auto"
     #: Per-constraint-class :class:`~repro.compile.encodings.EncodingDecision`
-    #: records in work-list order — the portfolio's full provenance
+    #: records in class order — the portfolio's full provenance
     #: (every scored candidate plus the selection reason).  Empty under
     #: ``encoding="auto"``, where no portfolio runs.
     encoding_decisions: tuple = ()
@@ -133,31 +132,25 @@ class CompiledProgram:
 def compile_program(
     env: "Env",
     *,
-    cache: bool = True,
     hard_scale: float | None = None,
-    jobs: int = 1,
     disk_cache: bool | None = None,
     cache_dir: str | None = None,
-    lint: bool = True,
     certify: bool = False,
     encoding: str = "auto",
 ) -> CompiledProgram:
     """Compile ``env``'s program to a QUBO.
 
+    Symmetric constraints (Definition 7) share one synthesized QUBO
+    template, and a :func:`repro.analysis.program.lint_program`
+    pre-pass runs first: its error findings abort before synthesis and
+    it never alters the compiled output.
+
     Parameters
     ----------
-    cache:
-        Reuse QUBO templates across symmetric constraints (Definition 7).
-        Disabling reproduces the reference implementation's redundant
-        recomputation for the compile-cache ablation.
     hard_scale:
         Override the hard-constraint scaling factor.  Must exceed the
         total soft weight for hard dominance; the default is
         ``num_soft + 1``.
-    jobs:
-        Worker processes for MILP-bound template synthesis; ``1``
-        (default) synthesizes everything inline.  Any value produces
-        identical QUBOs.
     disk_cache:
         Force the on-disk template store on (``True``) or off
         (``False``); ``None`` enables it exactly when a cache directory
@@ -165,11 +158,6 @@ def compile_program(
     cache_dir:
         Directory of the on-disk template store; implies the disk tier
         when set.
-    lint:
-        Run the :func:`repro.analysis.program.lint_program` pre-pass
-        (the default); error findings abort before synthesis.  The pass
-        never alters the compiled output, so ``lint=False`` yields a
-        byte-identical program on clean input.
     certify:
         Run the :func:`repro.analysis.certify.certify_program` post-pass
         (off by default): proves hard dominance and soft fidelity
@@ -194,18 +182,15 @@ def compile_program(
         Under ``certify=True``, if certification returns a ``fail``
         verdict.
     ValueError
-        On invalid option combinations (non-positive ``hard_scale`` or
-        ``jobs``, disk options contradicting ``cache``/each other).
+        On invalid options (non-positive ``hard_scale``, an unknown
+        ``encoding``, ``cache_dir`` with ``disk_cache=False``).
     """
     from .pipeline import PipelineConfig, run_pipeline
 
     config = PipelineConfig(
-        cache=cache,
         hard_scale=hard_scale,
-        jobs=jobs,
         disk_cache=disk_cache,
         cache_dir=cache_dir,
-        lint=lint,
         certify=certify,
         encoding=encoding,
     )

@@ -200,41 +200,31 @@ class Env:
     def to_qubo(
         self,
         *,
-        cache: bool = True,
         hard_scale: float | None = None,
-        jobs: int = 1,
         disk_cache: bool | None = None,
         cache_dir: str | None = None,
-        lint: bool = True,
         certify: bool = False,
         encoding: str = "auto",
     ) -> "QUBO":
         """Compile the whole program to a QUBO (Section V).
 
         Delegates to :func:`repro.compile.program.compile_program`, which
-        documents the options in full: ``cache`` toggles the symmetric-
-        constraint template cache, ``hard_scale`` overrides the
-        hard-constraint scaling factor, ``jobs`` sets the worker-process
-        count for MILP-bound synthesis, ``disk_cache`` / ``cache_dir``
-        control the persistent on-disk template store, ``lint``
-        (default on) runs the program-linter pre-pass whose errors abort
-        compilation, ``certify`` (default off) runs the
-        certification post-pass that proves hard dominance and soft
-        fidelity of the compiled artifact, and ``encoding`` selects the
-        per-constraint encoding portfolio mode (``"auto"``, ``"best"``,
-        or a forced strategy name).  Unknown or contradictory
-        options raise ``ValueError`` up front.
+        documents the options in full: ``hard_scale`` overrides the
+        hard-constraint scaling factor, ``disk_cache`` / ``cache_dir``
+        control the persistent on-disk template store, ``certify``
+        (default off) runs the certification post-pass that proves hard
+        dominance and soft fidelity of the compiled artifact, and
+        ``encoding`` selects the per-constraint encoding portfolio mode
+        (``"auto"``, ``"best"``, or a forced strategy name).  Unknown or
+        contradictory options raise ``ValueError`` up front.
         """
         from ..compile.program import compile_program
 
         return compile_program(
             self,
-            cache=cache,
             hard_scale=hard_scale,
-            jobs=jobs,
             disk_cache=disk_cache,
             cache_dir=cache_dir,
-            lint=lint,
             certify=certify,
             encoding=encoding,
         )

@@ -7,7 +7,7 @@ a reader can compare shapes against the paper directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 

@@ -27,20 +27,16 @@ import asyncio
 import threading
 import time
 from concurrent import futures as cf
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .. import telemetry
 from ..core.types import UnsatisfiableError
-from .backends import Backend, ClassicalBackend, best_valid, resolve_backends
+from .backends import ClassicalBackend, best_valid, resolve_backends
 from .policy import PortfolioPolicy
 from .records import AttemptRecord, PortfolioError, PortfolioResult
 from .strategy import Strategy, get_strategy
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..compile.program import CompiledProgram
-    from ..core.env import Env
 
 
 class HybridExecutor:

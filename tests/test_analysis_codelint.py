@@ -9,6 +9,7 @@ asserts the rule fires exactly where expected; scoped rules
 
 from __future__ import annotations
 
+import ast
 import json
 
 import pytest
@@ -286,6 +287,49 @@ class TestReporting:
         assert exit_code(lint_file(err, root=tmp_path)) == 2
 
 
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names an annotation reads, including inside quoted forward refs."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads.
+
+    A name counts as read if it is loaded anywhere, appears in an
+    annotation (quoted or not), or is listed in ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
 class TestSelfLint:
     """The acceptance gate: the shipped package lints clean."""
 
@@ -307,6 +351,30 @@ class TestSelfLint:
             assert (root / rel).is_file(), rel
         for rel, _ in PARAM_COVERAGE:
             assert (root / rel).is_file(), rel
+
+    def test_no_unused_imports(self):
+        """Every non-``__init__`` module reads each name it imports."""
+        from repro.analysis.codelint import package_root
+
+        fixture = (
+            "from typing import TYPE_CHECKING, Mapping\n"
+            "import os.path\n"
+            "from .a import Exported, Quoted, Unread\n"
+            "__all__ = ['Exported']\n"
+            "def f(x: 'Quoted') -> 'list[int]':\n"
+            "    return os.path.join(x)\n"
+        )
+        assert unused_imports(fixture) == [
+            "TYPE_CHECKING (line 1)", "Mapping (line 1)", "Unread (line 3)",
+        ]
+        root = package_root()
+        found = {
+            str(path.relative_to(root)): unused
+            for path in sorted(root.rglob("*.py"))
+            if path.name != "__init__.py"
+            and (unused := unused_imports(path.read_text()))
+        }
+        assert found == {}
 
 
 class TestTelemetryNamingRegistry:

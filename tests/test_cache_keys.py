@@ -44,7 +44,7 @@ def compute_keys() -> dict[str, str]:
     env.nck(["a"], [0], soft=True)
     env.nck(["b", "c"], [1], soft=True)
     constraint = env.constraints[0]
-    program = compile_program(env, disk_cache=False, lint=False)
+    program = compile_program(env, disk_cache=False)
     request = SolveRequest(problem=env, timeout=1.5, retries=2, seed=7)
     return {
         "analysis.certificate_profile_key": _profile_cache_key(

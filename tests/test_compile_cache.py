@@ -18,12 +18,12 @@ def namer():
     return lambda: f"_n{next(counter)}"
 
 
-def stats_of(*constraints, cache=True) -> dict:
+def stats_of(*constraints) -> dict:
     """In-memory cache statistics of compiling ``constraints`` together."""
     env = Env()
     for constraint in constraints:
         env.add_constraint(constraint)
-    stats = compile_program(env, cache=cache).cache_stats
+    stats = compile_program(env).cache_stats
     return {k: stats[k] for k in ("hits", "misses", "templates")}
 
 
@@ -46,10 +46,6 @@ class TestCaching:
         """Def. 7-symmetric but different truth tables must not share."""
         stats = stats_of(nck(["a", "a", "b"], [2]), nck(["c", "d", "e"], [2]))
         assert stats["hits"] == 0
-
-    def test_disabled_cache_never_hits(self):
-        stats = stats_of(nck(["a", "b"], [1, 2]), nck(["c", "d"], [1, 2]), cache=False)
-        assert stats == {"hits": 0, "misses": 2, "templates": 0}
 
 
 class TestRelabelingCorrectness:

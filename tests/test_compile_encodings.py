@@ -100,39 +100,56 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity of the default path (pinned fingerprints)
+# Pinned fingerprints: auto byte-identical forever, best selections fixed
 # ---------------------------------------------------------------------------
 
-#: ``_build_problem(family, n, 0).build_env().to_qubo().fingerprint`` as
-#: of the pre-portfolio compiler.  auto must reproduce these forever.
+#: ``_build_problem(family, n, 0).build_env().to_qubo(encoding=...)``
+#: fingerprints.  The ``auto`` entries are those of the pre-portfolio
+#: compiler and must hold forever; the ``best`` entries pin the
+#: portfolio's selections.
 PINNED_FINGERPRINTS = {
-    ("vertex-cover", 5): "d83b4fc893394d167fcc5fa056f9849c35d582a05373cc623d0bcb8ed2c45967",
-    ("max-cut", 5): "59f5fbf081511890be2c3d1a3bddd8c58dc4fadd1f4fd9374f192825daabb830",
-    ("clique-cover", 5): "048fcff0e83951622a4b5b6116f0b3a7013efa0c1525f04f3c2fcba33f540995",
-    ("map-coloring", 5): "aac4dff0431f97a87f12d9a94d5ec6a6effb980039bdb0a84f455b28115044a5",
-    ("exact-cover", 5): "09baec0b3b1aeeb93ad6f10e60937c609dbde1a12435e1888206231872670918",
-    ("set-cover", 5): "90f34324fe6c30d8cf31b9d329c27b9fa3113eebc79bddde57a73f6672251eb4",
-    ("3sat", 5): "705395caa0a6e18c399f6f80f190ee32e0bbb1a16a6d6421af1e129c27907f55",
-    ("vertex-cover", 8): "a53d69a6d56c6101d4d3a9591f32a3d77e756e786465dc43ea9385278b293363",
-    ("max-cut", 8): "0ccab42b953ca950afd2ca0a57dce96f920606b6d2e499f567b6351ca9962420",
-    ("clique-cover", 8): "ff6c14f5dc0dd9e59fd9e86660185496829db871a2931c657821f84c87b78f7f",
-    ("map-coloring", 8): "e3b64b8422ac01ec705afbd3f66cbd5819ec66095b627bcddc6c68260703fe37",
-    ("exact-cover", 8): "533b419cb4410dd443ee03f50b302c473552e6b95278231673ee48ada7192a30",
-    ("set-cover", 8): "f6fe3823eab90f5b35dadad056f82db78f6a3f000d460c8b838794658015aaac",
-    ("3sat", 8): "61d97602a2e2eb69b8a3586026ec8bbd111f630b05f89cbd6e9ccb6b9149edc8",
+    ("vertex-cover", 5, "auto"): "d83b4fc893394d167fcc5fa056f9849c35d582a05373cc623d0bcb8ed2c45967",
+    ("max-cut", 5, "auto"): "59f5fbf081511890be2c3d1a3bddd8c58dc4fadd1f4fd9374f192825daabb830",
+    ("clique-cover", 5, "auto"): "048fcff0e83951622a4b5b6116f0b3a7013efa0c1525f04f3c2fcba33f540995",
+    ("map-coloring", 5, "auto"): "aac4dff0431f97a87f12d9a94d5ec6a6effb980039bdb0a84f455b28115044a5",
+    ("exact-cover", 5, "auto"): "09baec0b3b1aeeb93ad6f10e60937c609dbde1a12435e1888206231872670918",
+    ("set-cover", 5, "auto"): "90f34324fe6c30d8cf31b9d329c27b9fa3113eebc79bddde57a73f6672251eb4",
+    ("3sat", 5, "auto"): "705395caa0a6e18c399f6f80f190ee32e0bbb1a16a6d6421af1e129c27907f55",
+    ("vertex-cover", 8, "auto"): "a53d69a6d56c6101d4d3a9591f32a3d77e756e786465dc43ea9385278b293363",
+    ("max-cut", 8, "auto"): "0ccab42b953ca950afd2ca0a57dce96f920606b6d2e499f567b6351ca9962420",
+    ("clique-cover", 8, "auto"): "ff6c14f5dc0dd9e59fd9e86660185496829db871a2931c657821f84c87b78f7f",
+    ("map-coloring", 8, "auto"): "e3b64b8422ac01ec705afbd3f66cbd5819ec66095b627bcddc6c68260703fe37",
+    ("exact-cover", 8, "auto"): "533b419cb4410dd443ee03f50b302c473552e6b95278231673ee48ada7192a30",
+    ("set-cover", 8, "auto"): "f6fe3823eab90f5b35dadad056f82db78f6a3f000d460c8b838794658015aaac",
+    ("3sat", 8, "auto"): "61d97602a2e2eb69b8a3586026ec8bbd111f630b05f89cbd6e9ccb6b9149edc8",
+    ("redundant-cover", 5, "auto"): "eaa46460efbaab766ecc6bec3ae80d78f9086c6b8219c88d78da22d971de1db0",
+    ("redundant-cover", 8, "auto"): "85a3c790c0b1a38c2f09091f12dec1dde588a3917a83ffa06e624b94aae541f4",
+    ("redundant-cover", 8, "best"): "4f7ba24ad79a894e170461320ae5c42c44c0ace097f5c26ef273223043fb35f1",
+    ("set-cover", 8, "best"): "a596acd70b3ea7f5d877a37b0f49edcefcef8b4ea9ddd4f71e61a07496c7ac50",
+    ("3sat", 8, "best"): "03ac4b2dcb65a2657a5b8c7e2071adfed62734dc1c1de5e3cf8ad398709dee90",
 }
 
 
+def _pin_id(key: tuple) -> str:
+    """``family-n``, with ``-encoding`` appended off the default mode."""
+    family, n, encoding = key
+    return f"{family}-{n}" if encoding == "auto" else f"{family}-{n}-{encoding}"
+
+
 class TestAutoIsByteIdentical:
-    @pytest.mark.parametrize("family,n", sorted(PINNED_FINGERPRINTS))
-    def test_pinned_fingerprint(self, family, n):
+    @pytest.mark.parametrize(
+        "family,n,encoding",
+        sorted(PINNED_FINGERPRINTS),
+        ids=[_pin_id(key) for key in sorted(PINNED_FINGERPRINTS)],
+    )
+    def test_pinned_fingerprint(self, family, n, encoding):
         from repro.__main__ import _build_problem
 
         env = _build_problem(family, n, 0).build_env()
-        compiled = env.to_qubo(disk_cache=False)
-        assert compiled.encoding == "auto"
-        assert compiled.encoding_decisions == ()
-        assert compiled.fingerprint == PINNED_FINGERPRINTS[(family, n)]
+        compiled = env.to_qubo(disk_cache=False, encoding=encoding)
+        assert compiled.encoding == encoding
+        assert (compiled.encoding_decisions == ()) == (encoding == "auto")
+        assert compiled.fingerprint == PINNED_FINGERPRINTS[(family, n, encoding)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 The pipeline's headline contract is *byte-compatibility*: the same
 program compiles to the identical QUBO — same variables, coefficients,
-offsets, ancilla names — whether the disk cache is cold, warm, or off,
-and whether synthesis runs inline or across worker processes.  These
-tests pin that contract exactly (dict equality, not tolerance), plus the
-pass-provenance records, the PipelineConfig validation, the
+offsets, ancilla names — whether the disk cache is cold, warm, or off.
+These tests pin that contract exactly (dict equality, not tolerance),
+plus the pass-provenance records, the PipelineConfig validation, the
 REPRO_CACHE_DIR environment hook, and the ``python -m repro compile``
 subcommand.
 """
@@ -73,25 +72,6 @@ class TestEquivalence:
         assert cold.cache_stats["disk_hits"] == 0
         assert cold.cache_stats["disk_misses"] == cold.cache_stats["templates"]
 
-    def test_jobs_1_vs_jobs_n(self, tmp_path):
-        env = mixed_env()
-        serial = compile_program(env)
-        parallel = compile_program(env, jobs=2)
-        parallel_disk = compile_program(env, jobs=2, cache_dir=str(tmp_path))
-        assert programs_identical(serial, parallel)
-        assert programs_identical(serial, parallel_disk)
-
-    def test_cache_ablation_unchanged_by_pipeline(self):
-        env = mixed_env()
-        cached = compile_program(env, cache=True)
-        uncached = compile_program(env, cache=False)
-        # Different ancilla naming paths, same energy landscape.
-        assert cached.qubo.ground_states()[0] == pytest.approx(
-            uncached.qubo.ground_states()[0]
-        )
-        assert uncached.cache_stats["templates"] == 0
-        assert uncached.cache_stats["hits"] == 0
-
 
 class TestEnvironmentHook:
     def test_cache_dir_env_enables_disk_tier(self, tmp_path, monkeypatch):
@@ -116,43 +96,32 @@ class TestEnvironmentHook:
 
 class TestProvenance:
     def test_five_passes_in_order(self):
+        """Four passes by default; the opt-in certify post-pass is fifth."""
+        passes = ["lint", "canonicalize", "synthesize", "assemble"]
         compiled = compile_program(mixed_env())
-        assert [p.name for p in compiled.provenance] == [
-            "lint",
-            "canonicalize",
-            "plan",
-            "synthesize",
-            "assemble",
-        ]
-        for record in compiled.provenance:
+        assert [p.name for p in compiled.provenance] == passes
+        certified = compile_program(mixed_env(), certify=True)
+        assert [p.name for p in certified.provenance] == passes + ["certify"]
+        for record in certified.provenance:
             assert record.wall_s >= 0.0
             assert record.describe()
-
-    def test_lint_false_drops_the_pre_pass(self):
-        compiled = compile_program(mixed_env(), lint=False)
-        assert [p.name for p in compiled.provenance] == [
-            "canonicalize",
-            "plan",
-            "synthesize",
-            "assemble",
-        ]
 
     def test_provenance_details(self):
         env = mixed_env()
         compiled = compile_program(env)
-        lint, canon, planned, synth, asm = compiled.provenance
+        lint, canon, synth, asm = compiled.provenance
         assert lint.items == env.num_constraints
         assert lint.detail["error"] == 0
         assert canon.items == env.num_constraints
         assert canon.detail["classes"] == compiled.cache_stats["templates"]
-        assert planned.detail["milp"] >= 2
+        assert synth.items == compiled.cache_stats["templates"]
         assert synth.detail["synthesized"] == compiled.cache_stats["templates"]
         assert asm.detail["ancillas"] == len(compiled.ancillas)
         assert asm.detail["hard_scale"] == compiled.hard_scale
 
 
 class TestLintPrePass:
-    """The opt-out program-lint pre-pass (see docs/analysis.md)."""
+    """The program-lint pre-pass (see docs/analysis.md)."""
 
     @staticmethod
     def unsat_env() -> Env:
@@ -161,27 +130,25 @@ class TestLintPrePass:
         env.nck([a, a], [1])  # reachable counts {0, 2} never hit {1}
         return env
 
-    def test_byte_identical_with_and_without_lint(self):
-        linted = compile_program(mixed_env())
-        unlinted = compile_program(mixed_env(), lint=False)
-        assert programs_identical(linted, unlinted)
-
     def test_errors_abort_with_the_canonicalize_message(self):
+        from repro.compile.pipeline import canonicalize
         from repro.core.types import UnsatisfiableError
 
         with pytest.raises(UnsatisfiableError) as linted:
             compile_program(self.unsat_env())
-        with pytest.raises(UnsatisfiableError) as unlinted:
-            compile_program(self.unsat_env(), lint=False)
-        assert str(linted.value) == str(unlinted.value)
+        with pytest.raises(UnsatisfiableError) as canonical:
+            canonicalize(self.unsat_env())
+        assert str(linted.value) == str(canonical.value)
 
     def test_env_to_qubo_threads_the_flag(self):
+        """``Env.to_qubo`` aborts through the same pre-pass."""
         from repro.core.types import UnsatisfiableError
 
-        with pytest.raises(UnsatisfiableError):
+        with pytest.raises(UnsatisfiableError) as via_env:
             self.unsat_env().to_qubo()
-        with pytest.raises(UnsatisfiableError):
-            self.unsat_env().to_qubo(lint=False)
+        with pytest.raises(UnsatisfiableError) as direct:
+            compile_program(self.unsat_env())
+        assert str(via_env.value) == str(direct.value)
 
     def test_lint_telemetry_names(self):
         from repro import telemetry
@@ -201,26 +168,10 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="hard_scale must be positive"):
             PipelineConfig(hard_scale=0.0)
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
-    def test_bad_jobs(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            PipelineConfig(jobs=jobs)
-
-    def test_jobs_require_cache(self):
-        with pytest.raises(ValueError, match="jobs > 1 requires cache=True"):
-            compile_program(mixed_env(), cache=False, jobs=2)
-
     def test_cache_dir_contradicts_disk_cache_off(self, tmp_path):
         with pytest.raises(ValueError, match="cache_dir"):
             compile_program(mixed_env(), cache_dir=str(tmp_path), disk_cache=False)
 
-    def test_disk_cache_requires_cache(self):
-        with pytest.raises(ValueError, match="disk_cache=True requires cache=True"):
-            compile_program(mixed_env(), cache=False, disk_cache=True)
-
-    def test_bad_lint_flag(self):
-        with pytest.raises(ValueError, match="lint must be a bool"):
-            PipelineConfig(lint="yes")
 
 
 class TestCompileConstraint:
@@ -261,14 +212,11 @@ class TestCompileCLI:
         assert "disk tier disabled" in capsys.readouterr().out
         assert not os.listdir(tmp_path)
 
-    def test_compile_subcommand_no_cache(self, capsys):
-        assert main(["compile", "max-cut", "--n", "6", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "0 templates" in out
-
-    def test_compile_subcommand_rejects_no_cache_with_jobs(self, capsys):
-        """Invalid flag combinations exit 2 with a message, not a traceback."""
+    def test_compile_subcommand_rejects_no_cache_with_jobs(self, tmp_path, capsys):
+        """Contradictory flags (``--cache-dir`` with ``--no-disk-cache``)
+        exit 2 with a message, not a traceback."""
+        argv = ["compile", "max-cut", "--n", "6", "--cache-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as excinfo:
-            main(["compile", "max-cut", "--n", "6", "--no-cache", "--jobs", "2"])
+            main(argv + ["--no-disk-cache"])
         assert excinfo.value.code == 2
-        assert "requires cache=True" in capsys.readouterr().err
+        assert "disk_cache=False" in capsys.readouterr().err

@@ -131,11 +131,6 @@ class TestEdgeCases:
         assert program.cache_stats["hits"] == 8  # 4 edges + 4 soft repeats
         assert program.cache_stats["templates"] == 2
 
-    def test_cache_disabled(self):
-        program = compile_program(mvc_env(), cache=False)
-        assert program.cache_stats["hits"] == 0
-        assert program.cache_stats["misses"] == 10
-
     def test_constraint_qubos_aligned(self):
         env = mvc_env()
         program = compile_program(env)

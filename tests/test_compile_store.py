@@ -495,7 +495,7 @@ def _compile_role(root: pathlib.Path) -> dict:
     errors = 0
     for _ in range(COMPILE_ROUNDS):
         for env, baseline in zip(envs, baselines):
-            program = compile_program(env, jobs=2, certify=True)
+            program = compile_program(env, certify=True)
             assert programs_identical(baseline, program)
             assert bands(program.certificate) == bands(baseline.certificate)
             errors += program.cache_stats["disk_errors"]
@@ -544,14 +544,14 @@ def _corrupt_role(root: pathlib.Path, seed: int = 0) -> dict:
 
 class TestConcurrentProcesses:
     def test_readers_see_a_valid_entry_or_a_miss(self, tmp_path):
-        """A ``jobs=2`` compile loop (a child process) and a
-        ``mode="process"`` service with two workers (driven from here)
-        read and write one ``REPRO_CACHE_DIR`` while a seeded corrupter
-        (another child) rewrites random entries of both stores.  Every
-        compiled QUBO and certificate equals the no-cache baseline, no
-        process fails, and once the corrupter stops the cache heals.
-        At most six processes run besides this one: the two children,
-        the compile loop's two pool workers and the service's two."""
+        """A compile loop (a child process) and a ``mode="process"``
+        service with two workers (driven from here) read and write one
+        ``REPRO_CACHE_DIR`` while a seeded corrupter (another child)
+        rewrites random entries of both stores.  Every compiled QUBO and
+        certificate equals the no-cache baseline, no process fails, and
+        once the corrupter stops the cache heals.  At most four
+        processes run besides this one: the two children and the
+        service's two workers."""
         env = dict(
             os.environ,
             **{CACHE_DIR_ENV: str(tmp_path)},
