@@ -33,8 +33,8 @@ certify:         ## prove hard dominance + soft fidelity for every problem famil
 bench:           ## regenerate every table & figure
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-bench-smoke:     ## tiny-budget benches: portfolio runtime + compiler pipeline + certification + sparse-kernel gate + solve service + encoding-portfolio gate
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_runtime.py benchmarks/bench_compile_pipeline.py benchmarks/bench_certify.py "benchmarks/bench_kernels.py::test_sparse_kernel_gate" benchmarks/bench_service.py "benchmarks/bench_encodings.py::test_inequality_portfolio_gate" --benchmark-only -s
+bench-smoke:     ## tiny-budget benches: portfolio runtime + compiler pipeline + certification + sparse-kernel gate + solve service
+	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_runtime.py benchmarks/bench_compile_pipeline.py benchmarks/bench_certify.py "benchmarks/bench_kernels.py::test_sparse_kernel_gate" benchmarks/bench_service.py --benchmark-only -s
 
 bench-compile:   ## compiler-pipeline bench (cold vs warm disk cache)
 	$(PYTHON) -m pytest benchmarks/bench_compile_pipeline.py --benchmark-only -s

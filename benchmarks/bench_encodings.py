@@ -3,39 +3,17 @@
 * k-SAT: dual-rail (ancilla negations) vs. repeated-variable encodings —
   constraint counts, QUBO sizes, and ancilla usage;
 * Max Cut: direct soft-edge encoding vs. explicit cut-indicator
-  variables ("adds many unnecessary variables");
-* the encoding portfolio on the inequality (redundant-cover) family:
-  forced ``slack`` vs ``slack-free`` strategies, gated at ≥30% ancilla
-  reduction with identical feasible optima, written to
-  ``BENCH_encodings.json``.
+  variables ("adds many unnecessary variables").
 
 Benchmarks compilation of the dual-rail SAT encoding and of the
-portfolio's ``best`` mode.
+cut-indicator Max Cut encoding.
 """
 
-import json
-import os
-
 import numpy as np
-import pytest
 
-from repro.classical import ExactQUBOSolver
-from repro.problems import KSat, MaxCut, RedundantCover, vertex_scaling_graph
+from repro.problems import KSat, MaxCut, vertex_scaling_graph
 
 from conftest import banner
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
-
-OUTPUT = "BENCH_encodings.json"
-
-#: Instance sizes (elements = subsets) for the portfolio gate.
-SIZES = (4, 6) if SMOKE else (4, 6, 8)
-
-#: The acceptance gate: slack-free must save at least this ancilla share.
-REDUCTION_FLOOR = 0.30
-
-#: Brute-force optima comparison cap (total QUBO variables).
-ENUM_CAP = 20
 
 
 def test_ksat_encodings(benchmark):
@@ -89,70 +67,3 @@ def test_maxcut_encodings(benchmark):
     assert inst.cut_size(indicator.solve().assignment) == opt
 
     benchmark(lambda: inst.build_env_indicator().to_qubo())
-
-
-def _ancillas(compiled):
-    return [v for v in compiled.qubo.variables if v.startswith("_")]
-
-
-def _cover_optimum(inst, compiled):
-    """Brute-force ground state of the compiled QUBO, decoded and verified."""
-    _, assignment = ExactQUBOSolver().solve(compiled.qubo)
-    sub = {
-        inst.var(i): bool(assignment.get(inst.var(i), False))
-        for i in range(len(inst.subsets))
-    }
-    assert inst.verify(sub), "ground state violates a coverage demand"
-    return inst.objective(sub)
-
-
-def test_inequality_portfolio_gate(benchmark):
-    """Slack vs slack-free on at-least-k coverage windows (widths 2–5).
-
-    The gate the encoding portfolio exists for: on the inequality
-    redundant-cover family the ``slack-free`` strategy must use at least
-    30% fewer ancilla qubits than naive binary slack expansion while
-    compiling to a QUBO with the identical feasible optimum.
-    """
-    banner("ENCODING PORTFOLIO — slack vs slack-free on at-least-k windows")
-    print(f"{'n':>4} {'slack anc':>10} {'free anc':>10} {'saved':>8} {'optimum':>8}")
-    rows = []
-    for n in SIZES:
-        inst = RedundantCover.random_satisfiable(n, n, np.random.default_rng(n))
-        env = inst.build_env()
-        slack = env.to_qubo(encoding="slack", disk_cache=False)
-        free = env.to_qubo(encoding="slack-free", disk_cache=False)
-        n_slack, n_free = len(_ancillas(slack)), len(_ancillas(free))
-        assert n_slack > 0, "slack expansion must introduce counters"
-        reduction = (n_slack - n_free) / n_slack
-        optimum = None
-        if len(slack.qubo.variables) <= ENUM_CAP:
-            optimum = _cover_optimum(inst, slack)
-            assert _cover_optimum(inst, free) == optimum
-        rows.append(
-            {
-                "n": n,
-                "slack_ancillas": n_slack,
-                "slack_free_ancillas": n_free,
-                "reduction": reduction,
-                "optimum": optimum,
-            }
-        )
-        opt = "-" if optimum is None else f"{optimum:g}"
-        print(f"{n:>4} {n_slack:>10} {n_free:>10} {reduction:>7.0%} {opt:>8}")
-        assert reduction >= REDUCTION_FLOOR, (
-            f"n={n}: slack-free saved only {reduction:.0%} of {n_slack} "
-            f"ancillas (gate {REDUCTION_FLOOR:.0%})"
-        )
-    print(
-        f"\ngate: slack-free saves ≥{REDUCTION_FLOOR:.0%} ancillas at every "
-        "size, with identical feasible optima where enumerable."
-    )
-    with open(OUTPUT, "w") as fh:
-        json.dump({"smoke": SMOKE, "floor": REDUCTION_FLOOR, "rows": rows}, fh, indent=2)
-    print(f"results written to {OUTPUT}")
-
-    largest = RedundantCover.random_satisfiable(
-        SIZES[-1], SIZES[-1], np.random.default_rng(SIZES[-1])
-    )
-    benchmark(lambda: largest.build_env().to_qubo(encoding="best", disk_cache=False))

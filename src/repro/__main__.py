@@ -14,7 +14,7 @@ Usage::
         [--backends classical,annealing] [--strategy race] \\
         [--timeout S] [--retries K] [--seed N]
     python -m repro compile 3sat --n 20 \\
-        [--cache-dir DIR] [--no-disk-cache] [--encoding MODE]
+        [--cache-dir DIR] [--no-disk-cache]
     python -m repro lint vertex-cover --n 20 \\
         [--json] [--min-severity LEVEL] [--hard-scale X] [--qubit-budget Q]
     python -m repro lint --self [--json] [--min-severity LEVEL]
@@ -331,19 +331,6 @@ def _configure_compile(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the on-disk template store for this run",
     )
-    from .compile.encodings import encoding_modes
-
-    parser.add_argument(
-        "--encoding",
-        choices=encoding_modes(),
-        default="auto",
-        help=(
-            "per-constraint encoding selection: 'auto' keeps the default "
-            "penalty strategy (byte-identical), 'best' runs the verified "
-            "cost-model portfolio, a strategy name forces that encoding "
-            "where it applies"
-        ),
-    )
 
 
 def _compile(args) -> None:
@@ -355,7 +342,6 @@ def _compile(args) -> None:
         compiled = env.to_qubo(
             disk_cache=False if args.no_disk_cache else None,
             cache_dir=args.cache_dir,
-            encoding=args.encoding,
         )
     except ValueError as err:
         # Invalid option combinations (--cache-dir with --no-disk-cache)
@@ -384,14 +370,6 @@ def _compile(args) -> None:
         )
     else:
         print("         disk tier disabled")
-    if compiled.encoding_decisions:
-        from .analysis.encodings import encoding_diagnostics
-
-        print(f"encoding mode {compiled.encoding}, per-class decisions")
-        for decision in compiled.encoding_decisions:
-            print(f"  {decision.describe()}")
-        for finding in encoding_diagnostics(compiled.encoding_decisions):
-            print(f"  {finding.render()}")
 
 
 # ---------------------------------------------------------------------------

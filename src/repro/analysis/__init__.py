@@ -39,7 +39,6 @@ from .certify import (
     recheck_certificate,
 )
 from .codelint import CODE_RULES, lint_file, lint_package
-from .encodings import ENCODING_RULES, encoding_diagnostics
 from .diagnostics import (
     Diagnostic,
     RuleInfo,
@@ -59,7 +58,6 @@ __all__ = [
     "CertificationError",
     "ConstraintCertificate",
     "Diagnostic",
-    "ENCODING_RULES",
     "PROGRAM_RULES",
     "ProgramCertificate",
     "RuleInfo",
@@ -67,7 +65,6 @@ __all__ = [
     "certificate_diagnostics",
     "certify_program",
     "check_energy",
-    "encoding_diagnostics",
     "estimate_qubits",
     "exit_code",
     "filter_ignored",

@@ -59,7 +59,6 @@ DOCSTRING_MODULES: tuple[str, ...] = (
     "core/solution.py",
     "compile/program.py",
     "compile/cache.py",
-    "compile/encodings.py",
     "compile/pipeline/__init__.py",
     "compile/pipeline/base.py",
     "compile/pipeline/canonicalize.py",
@@ -83,7 +82,6 @@ DOCSTRING_MODULES: tuple[str, ...] = (
     "analysis/report.py",
     "analysis/cli.py",
     "analysis/certify.py",
-    "analysis/encodings.py",
     "service/__init__.py",
     "service/config.py",
     "service/admission.py",
@@ -105,7 +103,6 @@ PARAM_COVERAGE: tuple[tuple[str, str], ...] = (
     ("core/env.py", "Env.solve"),
     ("core/env.py", "Env.to_qubo"),
     ("compile/program.py", "compile_program"),
-    ("compile/program.py", "compile_constraint"),
     ("annealing/device.py", "AnnealingDevice.__init__"),
     ("annealing/device.py", "AnnealingDevice.sample"),
     ("annealing/sampler.py", "SimulatedAnnealingSampler.sample"),

@@ -6,26 +6,8 @@ assemble); :func:`compile_program` is the public entry point and
 ``docs/compiler.md`` the narrative description.
 """
 
-from .cache import (
-    Template,
-    build_strategy_template,
-    build_template,
-    instantiate_template,
-    template_key,
-)
+from .cache import Template, build_template, instantiate_template, template_key
 from .closed_forms import closed_form_qubo
-from .encodings import (
-    DEFAULT_STRATEGY,
-    EncodingCandidate,
-    EncodingDecision,
-    EncodingStrategy,
-    encode_candidate,
-    encoding_cost,
-    encoding_modes,
-    get_strategy,
-    register_strategy,
-    strategy_names,
-)
 from .pipeline import (
     CACHE_DIR_ENV,
     PassProvenance,
@@ -33,7 +15,7 @@ from .pipeline import (
     TemplateStore,
     run_pipeline,
 )
-from .program import ANCILLA_PREFIX, CompiledProgram, compile_constraint, compile_program
+from .program import ANCILLA_PREFIX, CompiledProgram, compile_program
 from .synthesize import (
     GAP,
     MAX_ANCILLAS,
@@ -53,11 +35,7 @@ __all__ = [
     "ANCILLA_PREFIX",
     "ATOL",
     "CACHE_DIR_ENV",
-    "DEFAULT_STRATEGY",
     "CompiledProgram",
-    "EncodingCandidate",
-    "EncodingDecision",
-    "EncodingStrategy",
     "GAP",
     "MAX_ANCILLAS",
     "PassProvenance",
@@ -66,20 +44,12 @@ __all__ = [
     "Template",
     "TemplateStore",
     "TruthTable",
-    "build_strategy_template",
     "build_template",
     "build_truth_table",
     "closed_form_qubo",
-    "compile_constraint",
     "compile_program",
-    "encode_candidate",
-    "encoding_cost",
-    "encoding_modes",
-    "get_strategy",
     "instantiate_template",
-    "register_strategy",
     "run_pipeline",
-    "strategy_names",
     "synthesize_constraint_qubo",
     "template_key",
     "verify_constraint_qubo",

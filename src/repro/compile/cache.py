@@ -52,25 +52,22 @@ class Template:
     num_ancillas: int
     used_closed_form: bool
     exact_penalty: bool
-    #: The encoding strategy that synthesized this template (see
-    #: :mod:`repro.compile.encodings`).  Part of the cache identity:
-    #: one strategy's template must never be served for another.
+    #: Always ``"penalty"``, the name of the one encoding chain.  It is
+    #: the key's third part and is echoed into each on-disk entry; see
+    #: :data:`~repro.compile.pipeline.store.SCHEMA_VERSION` for why it stays.
     strategy: str = "penalty"
 
 
-def template_key(
-    constraint: Constraint, exact_penalty: bool, strategy: str = "penalty"
-) -> tuple:
+def template_key(constraint: Constraint, exact_penalty: bool) -> tuple:
     """The key under which ``constraint`` shares a template.
 
     Combines :func:`~repro.core.symmetry.cache_key` (sorted multiplicity
     profile + selection set) with the requested penalty exactness — soft
     constraints compile with ``exact_penalty=True`` and must not share
-    templates with hard ones — and the encoding strategy identity, so
-    the portfolio's competing encodings of one constraint class occupy
-    distinct cache entries (in memory and on disk).
+    templates with hard ones.  The third part is the constant
+    :attr:`Template.strategy` name ``"penalty"``.
     """
-    return (cache_key(constraint), exact_penalty, strategy)
+    return (cache_key(constraint), exact_penalty, "penalty")
 
 
 def build_template(constraint: Constraint, exact_penalty: bool) -> Template:
@@ -98,39 +95,6 @@ def build_template(constraint: Constraint, exact_penalty: bool) -> Template:
         num_ancillas=len(result.ancillas),
         used_closed_form=result.used_closed_form,
         exact_penalty=result.exact_penalty,
-    )
-
-
-def build_strategy_template(
-    constraint: Constraint, exact_penalty: bool, strategy: str
-) -> Template | None:
-    """Synthesize a slot-named template under one specific encoding strategy.
-
-    Unlike :func:`build_template` (the default ``penalty`` chain, which
-    always succeeds or raises), a challenger strategy may be inapplicable
-    or find nothing — in which case None is returned and the caller
-    drops the candidate.  Ancillas are renumbered gaplessly exactly as in
-    :func:`build_template`.
-    """
-    from .encodings import get_strategy
-
-    canonical = canonical_constraint(constraint)
-    counter = iter(range(10**6))
-    strat = get_strategy(strategy)
-    if not strat.applies(canonical, exact_penalty):
-        return None
-    result = strat.encode(
-        canonical, lambda: ANC.format(next(counter)), exact_penalty
-    )
-    if result is None:
-        return None
-    renumber = {old: ANC.format(i) for i, old in enumerate(result.ancillas)}
-    return Template(
-        qubo=result.qubo.relabeled(renumber),
-        num_ancillas=len(result.ancillas),
-        used_closed_form=result.used_closed_form,
-        exact_penalty=result.exact_penalty,
-        strategy=strategy,
     )
 
 

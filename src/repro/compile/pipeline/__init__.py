@@ -11,8 +11,7 @@ passes over an intermediate representation:
    :func:`~repro.compile.cache.template_key`;
 2. **synthesize** (:mod:`.synthesis`) — resolve each class's template
    from the on-disk :class:`~repro.compile.pipeline.store.TemplateStore`
-   or by fresh synthesis, then run the encoding portfolio under a
-   non-``auto`` encoding mode;
+   or by fresh synthesis;
 3. **assemble** (:mod:`.assemble`) — instantiate, scale, and sum into
    the final :class:`~repro.compile.program.CompiledProgram`.
 
@@ -189,24 +188,17 @@ def run_pipeline(env: "Env", config: PipelineConfig) -> "CompiledProgram":
 
         t0 = perf_counter()
         with telemetry.span("compile.pass.synthesize"):
-            outcome = synthesize(program, config, store)
-        synth_detail = {
-            "synthesized": outcome.synthesized,
-            "disk_hits": outcome.disk_hits,
-            "disk_misses": outcome.disk_misses,
-        }
-        if config.encoding != "auto":
-            synth_detail["encoding"] = config.encoding
-            synth_detail["candidates"] = outcome.candidates_scored
-            synth_detail["non_default"] = sum(
-                1 for d in outcome.decisions if d.selected != "penalty"
-            )
+            outcome = synthesize(program, store)
         provenance.append(
             PassProvenance(
                 name="synthesize",
                 wall_s=perf_counter() - t0,
                 items=len(program.classes),
-                detail=synth_detail,
+                detail={
+                    "synthesized": outcome.synthesized,
+                    "disk_hits": outcome.disk_hits,
+                    "disk_misses": outcome.disk_misses,
+                },
             )
         )
 
@@ -252,8 +244,6 @@ def run_pipeline(env: "Env", config: PipelineConfig) -> "CompiledProgram":
             cache_stats=cache_stats,
             soft_penalties_exact=fields["soft_penalties_exact"],
             provenance=tuple(provenance),
-            encoding=config.encoding,
-            encoding_decisions=outcome.decisions,
         )
         if config.certify:
             provenance.append(_certify_post_pass(env, compiled, config))

@@ -24,6 +24,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 class PipelineConfig:
     """Validated knobs of one pipeline run.
 
+    None of them changes how a constraint is encoded: there is one
+    encoding chain (see :func:`~repro.compile.program.compile_program`).
+
     Attributes
     ----------
     hard_scale:
@@ -43,35 +46,17 @@ class PipelineConfig:
         compiled program and raises
         :class:`~repro.analysis.certify.CertificationError` on a
         ``fail`` verdict; it never changes the compiled QUBO.
-    encoding:
-        Per-constraint encoding selection mode (see
-        :mod:`repro.compile.encodings`): ``"auto"`` (the default) keeps
-        the default ``penalty`` strategy everywhere and synthesizes no
-        challengers — byte-identical, zero-overhead compilation;
-        ``"best"`` synthesizes every applicable strategy and picks the
-        cost-model winner, gated on hard-dominance verification; a
-        strategy name (``"penalty"``, ``"slack"``, ``"slack-free"``,
-        ``"closed-form"``) forces that strategy where it applies and
-        verifies, falling back to the default elsewhere.
     """
 
     hard_scale: float | None = None
     disk_cache: bool | None = None
     cache_dir: str | None = None
     certify: bool = False
-    encoding: str = "auto"
 
     def __post_init__(self) -> None:
         """Reject invalid option combinations loudly and early."""
-        from ..encodings import encoding_modes
-
         if self.hard_scale is not None and self.hard_scale <= 0:
             raise ValueError("hard_scale must be positive")
-        if self.encoding not in encoding_modes():
-            known = ", ".join(encoding_modes())
-            raise ValueError(
-                f"unknown encoding {self.encoding!r} (choose from: {known})"
-            )
         if self.cache_dir is not None and self.disk_cache is False:
             raise ValueError(
                 "cache_dir was given but disk_cache=False disables the disk "

@@ -25,8 +25,11 @@ from ..cache import Template
 
 #: Bump whenever the on-disk payload layout or the synthesized-template
 #: semantics change; mismatched entries are discarded and resynthesized.
-#: Version 2 added the encoding-strategy identity to both the key payload
-#: and the template fields (the encoding portfolio).
+#: Version 2 added an encoding-strategy name to both the key payload and
+#: the template fields, for a compiler that chose between several
+#: encodings.  It now has one, so the name is always ``"penalty"``; it
+#: stays in both places because dropping it would rename every entry and
+#: change its bytes, turning each existing store into all misses.
 SCHEMA_VERSION = 2
 
 _SLOT_OR_ANC = re.compile(r"_slot\d+$|_tanc\d+$")

@@ -21,19 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ... import telemetry
-from ..cache import ANC, Template, build_strategy_template, build_template
-from ..encodings import (
-    DEFAULT_STRATEGY,
-    EncodingCandidate,
-    EncodingDecision,
-    get_strategy,
-    score_fragment,
-    select_candidate,
-    strategy_names,
-)
-from ..synthesize import SynthesisResult, verify_constraint_qubo
-from .base import PipelineConfig
-from .canonicalize import CanonicalProgram, ConstraintClass
+from ..cache import build_template
+from .canonicalize import CanonicalProgram
 from .store import TemplateStore
 
 
@@ -52,20 +41,12 @@ class SynthesisOutcome:
     disk_misses: int = 0
     disk_errors: int = 0
     synthesized: int = 0
-    #: Per-class :class:`~repro.compile.encodings.EncodingDecision`
-    #: records, in class order.  Empty under ``encoding="auto"`` —
-    #: the zero-overhead default runs no portfolio at all.
-    decisions: tuple = ()
-    #: Total (class × strategy) candidates scored by the portfolio.
-    candidates_scored: int = 0
 
 
 def synthesize(
-    program: CanonicalProgram,
-    config: PipelineConfig,
-    store: TemplateStore | None,
+    program: CanonicalProgram, store: TemplateStore | None
 ) -> SynthesisOutcome:
-    """Run pass 2 on ``program`` under ``config``.
+    """Run pass 2 on ``program``.
 
     ``store`` is the optional disk tier.
     """
@@ -90,11 +71,6 @@ def synthesize(
                 store.store(cls.key, template)
         outcome.templates[cls.key] = template
 
-    # The encoding portfolio: score challenger strategies against the
-    # default template and swap in verified cost-model winners.
-    if config.encoding != "auto":
-        _run_portfolio(program, config, outcome, store)
-
     if store is not None:
         outcome.disk_hits = store.hits
         outcome.disk_misses = store.misses
@@ -103,132 +79,3 @@ def synthesize(
         telemetry.count("compile.disk_cache.misses", store.misses)
 
     return outcome
-
-
-def _template_result(template: Template) -> SynthesisResult:
-    """A template's fragment as a slot/ancilla-named synthesis result."""
-    return SynthesisResult(
-        qubo=template.qubo,
-        ancillas=tuple(ANC.format(i) for i in range(template.num_ancillas)),
-        used_closed_form=template.used_closed_form,
-        exact_penalty=template.exact_penalty,
-    )
-
-
-def _score_template(
-    cls: ConstraintClass,
-    template: Template,
-    strategy: str,
-    verified: bool | None,
-    source: str,
-) -> EncodingCandidate:
-    """Score one resolved template into an encoding candidate."""
-    return score_fragment(
-        strategy=strategy,
-        qubo=template.qubo,
-        ancillas=tuple(ANC.format(i) for i in range(template.num_ancillas)),
-        num_variables=len(cls.representative.collection.unique),
-        exact_penalty=template.exact_penalty,
-        used_closed_form=template.used_closed_form,
-        verified=verified,
-        source=source,
-    )
-
-
-def _strategy_key(class_key: tuple, strategy: str) -> tuple:
-    """The template key of ``strategy``'s entry for a class.
-
-    Class keys carry the default strategy (canonicalization uses
-    :func:`~repro.compile.cache.template_key`'s default); challengers
-    live under the same symmetry class with the strategy swapped in.
-    """
-    return class_key[:2] + (strategy,)
-
-
-def candidate_strategies(cls: ConstraintClass, encoding: str) -> tuple[str, ...]:
-    """The challenger strategies competing with the default for one class.
-
-    ``best`` admits every applicable competing strategy; a forced
-    strategy name admits that strategy where it structurally applies
-    (the default ``penalty`` strategy is never its own challenger).
-    """
-    names = strategy_names(competing_only=True) if encoding == "best" else (encoding,)
-    return tuple(
-        name
-        for name in names
-        if name != DEFAULT_STRATEGY
-        and get_strategy(name).applies(cls.representative, cls.exact_penalty)
-    )
-
-
-def _run_portfolio(
-    program: CanonicalProgram,
-    config: PipelineConfig,
-    outcome: SynthesisOutcome,
-    store: TemplateStore | None,
-) -> None:
-    """Resolve, score, verify, and select per-class encoding candidates.
-
-    For every class the default template (already resolved above) is
-    scored alongside each challenger strategy's template — loaded from
-    the disk store under the strategy's own key or synthesized fresh.
-    Challengers must pass the exhaustive/symmetric hard-dominance check
-    (:func:`~repro.compile.synthesize.verify_constraint_qubo`) to be
-    eligible; the winner replaces the class's template and the full
-    scored field is recorded as an
-    :class:`~repro.compile.encodings.EncodingDecision`.
-    """
-    decisions = []
-    for cls in program.classes:
-        default_template = outcome.templates[cls.key]
-        candidates = [
-            _score_template(cls, default_template, DEFAULT_STRATEGY, None, "default")
-        ]
-        templates = {DEFAULT_STRATEGY: default_template}
-        for strategy in candidate_strategies(cls, config.encoding):
-            skey = _strategy_key(cls.key, strategy)
-            source = "disk"
-            template = store.load(skey) if store is not None else None
-            if template is None:
-                source = "synthesized"
-                template = build_strategy_template(
-                    cls.representative, cls.exact_penalty, strategy
-                )
-                if template is None:
-                    continue
-                outcome.synthesized += 1
-                if store is not None:
-                    store.store(skey, template)
-            verified = verify_constraint_qubo(
-                cls.representative, _template_result(template)
-            )
-            status = "verified" if verified else "rejected"
-            telemetry.count(f"compile.encoding.{status}")
-            templates[strategy] = template
-            candidates.append(
-                _score_template(cls, template, strategy, verified, source)
-            )
-
-        outcome.candidates_scored += len(candidates)
-        telemetry.count("compile.encoding.candidates", len(candidates))
-        winner, reason = select_candidate(
-            candidates, config.encoding, exact_required=cls.exact_penalty
-        )
-        if winner.strategy != DEFAULT_STRATEGY:
-            outcome.templates[cls.key] = templates[winner.strategy]
-        telemetry.count("compile.encoding.selected")
-        winner_slug = winner.strategy.replace("-", "_")
-        telemetry.count(f"compile.encoding.selected.{winner_slug}")
-        if reason.startswith("fallback"):
-            telemetry.count("compile.encoding.fallback")
-        decisions.append(
-            EncodingDecision(
-                constraint_indices=tuple(m.index for m in cls.members),
-                mode=config.encoding,
-                selected=winner.strategy,
-                reason=reason,
-                candidates=tuple(c.summary() for c in candidates),
-                exact_required=cls.exact_penalty,
-            )
-        )
-    outcome.decisions = tuple(decisions)

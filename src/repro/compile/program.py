@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from ..core.types import Constraint
 from ..qubo.model import QUBO, qubo_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,15 +88,6 @@ class CompiledProgram:
     soft_penalties_exact: bool = True
     provenance: tuple = ()
     certificate: object = None
-    #: The encoding selection mode this program was compiled under (see
-    #: :mod:`repro.compile.encodings`): ``"auto"``, ``"best"``, or a
-    #: forced strategy name.
-    encoding: str = "auto"
-    #: Per-constraint-class :class:`~repro.compile.encodings.EncodingDecision`
-    #: records in class order — the portfolio's full provenance
-    #: (every scored candidate plus the selection reason).  Empty under
-    #: ``encoding="auto"``, where no portfolio runs.
-    encoding_decisions: tuple = ()
 
     @property
     def all_variables(self) -> tuple[str, ...]:
@@ -136,10 +126,13 @@ def compile_program(
     disk_cache: bool | None = None,
     cache_dir: str | None = None,
     certify: bool = False,
-    encoding: str = "auto",
 ) -> CompiledProgram:
     """Compile ``env``'s program to a QUBO.
 
+    Every constraint compiles the one way
+    :func:`~repro.compile.synthesize.synthesize_constraint_qubo` knows:
+    a closed form when one fits (for a soft constraint, only if its
+    penalty is exact), otherwise the LP/MILP coefficient search.
     Symmetric constraints (Definition 7) share one synthesized QUBO
     template, and a :func:`repro.analysis.program.lint_program`
     pre-pass runs first: its error findings abort before synthesis and
@@ -164,14 +157,6 @@ def compile_program(
         compositionally, attaches the certificate to the returned
         program, and raises on a ``fail`` verdict.  Never changes the
         compiled QUBO.
-    encoding:
-        Per-constraint encoding selection (see
-        :mod:`repro.compile.encodings`): ``"auto"`` (default) keeps the
-        default penalty strategy everywhere — byte-identical,
-        zero-overhead; ``"best"`` runs the cost-model portfolio with
-        verification-gated selection; a strategy name (``"penalty"``,
-        ``"slack"``, ``"slack-free"``, ``"closed-form"``) forces that
-        strategy where it applies and verifies.
 
     Raises
     ------
@@ -182,8 +167,8 @@ def compile_program(
         Under ``certify=True``, if certification returns a ``fail``
         verdict.
     ValueError
-        On invalid options (non-positive ``hard_scale``, an unknown
-        ``encoding``, ``cache_dir`` with ``disk_cache=False``).
+        On invalid options (non-positive ``hard_scale``, ``cache_dir``
+        with ``disk_cache=False``, a non-bool ``certify``).
     """
     from .pipeline import PipelineConfig, run_pipeline
 
@@ -192,38 +177,5 @@ def compile_program(
         disk_cache=disk_cache,
         cache_dir=cache_dir,
         certify=certify,
-        encoding=encoding,
     )
     return run_pipeline(env, config)
-
-
-def compile_constraint(
-    constraint: Constraint,
-    *,
-    ancilla_namer=None,
-    allow_closed_form: bool = True,
-    exact_penalty: bool = False,
-) -> QUBO:
-    """Compile a single constraint in isolation (testing/diagnostics).
-
-    Parameters
-    ----------
-    constraint:
-        The constraint to synthesize a QUBO for.
-    ancilla_namer:
-        Zero-argument callable yielding fresh ancilla names; ``None``
-        uses the synthesizer's default ``_anc{i}`` sequence.
-    allow_closed_form:
-        Permit closed-form encodings before invoking LP/MILP synthesis.
-    exact_penalty:
-        Pin every invalid assignment to exactly the unit gap (the soft
-        constraint compilation mode).
-    """
-    from .synthesize import synthesize_constraint_qubo
-
-    return synthesize_constraint_qubo(
-        constraint,
-        ancilla_namer=ancilla_namer,
-        allow_closed_form=allow_closed_form,
-        exact_penalty=exact_penalty,
-    ).qubo

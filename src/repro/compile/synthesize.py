@@ -46,7 +46,7 @@ Section VI-B come out equal for most problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -55,6 +55,7 @@ from .. import telemetry
 from ..core.types import Constraint, ConstraintConversionError
 from ..qubo.matrix import enumerate_assignments
 from ..qubo.model import QUBO
+from .closed_forms import closed_form_qubo
 from .truthtable import MAX_UNIQUE_VARIABLES, TruthTable, build_truth_table
 
 #: Coefficient magnitudes are bounded; the paper's hand QUBOs use small
@@ -459,28 +460,25 @@ def _synthesize_dispatch(
     allow_closed_form: bool,
     exact_penalty: bool,
 ) -> SynthesisResult:
-    """The default encoding chain behind :func:`synthesize_constraint_qubo`.
+    """The encoding chain behind :func:`synthesize_constraint_qubo`.
 
-    Delegates to the ``penalty`` strategy of the encoding portfolio
-    (:mod:`repro.compile.encodings`) — closed forms first, then the
-    LP/MILP search — or to the bare search when closed forms are
-    disallowed.  The import is deferred because the registry's
-    strategies are themselves built from this module's search
-    primitives.
+    A closed form is taken when one fits and, under ``exact_penalty``,
+    its penalty really is exact; otherwise the LP/MILP search runs.  A
+    closed form rejected for an inexact penalty has already drawn its
+    ancilla names, so the search's names follow them.
     """
     if allow_closed_form:
-        from .encodings import DEFAULT_STRATEGY, get_strategy
-
-        result = get_strategy(DEFAULT_STRATEGY).encode(
-            constraint, ancilla_namer, exact_penalty
-        )
+        closed = closed_form_qubo(constraint, ancilla_namer)
+        if closed is not None:
+            qubo, ancillas = closed
+            result = SynthesisResult(qubo=qubo, ancillas=ancillas, used_closed_form=True)
+            is_exact = _penalty_is_exact(constraint, result)
+            if is_exact or not exact_penalty:
+                return replace(result, exact_penalty=is_exact)
+    for want_exact in (True, False) if exact_penalty else (False,):
+        result = _synthesize_search(constraint, ancilla_namer, want_exact)
         if result is not None:
             return result
-    else:
-        for want_exact in ((True, False) if exact_penalty else (False,)):
-            result = _synthesize_search(constraint, ancilla_namer, want_exact)
-            if result is not None:
-                return result
 
     raise ConstraintConversionError(
         f"no QUBO with ≤ {MAX_ANCILLAS} ancillas and coefficients bounded by "

@@ -204,19 +204,18 @@ class Env:
         disk_cache: bool | None = None,
         cache_dir: str | None = None,
         certify: bool = False,
-        encoding: str = "auto",
     ) -> "QUBO":
         """Compile the whole program to a QUBO (Section V).
 
         Delegates to :func:`repro.compile.program.compile_program`, which
         documents the options in full: ``hard_scale`` overrides the
         hard-constraint scaling factor, ``disk_cache`` / ``cache_dir``
-        control the persistent on-disk template store, ``certify``
+        control the persistent on-disk template store, and ``certify``
         (default off) runs the certification post-pass that proves hard
-        dominance and soft fidelity of the compiled artifact, and
-        ``encoding`` selects the per-constraint encoding portfolio mode
-        (``"auto"``, ``"best"``, or a forced strategy name).  Unknown or
-        contradictory options raise ``ValueError`` up front.
+        dominance and soft fidelity of the compiled artifact.  Every
+        constraint compiles with the one encoding chain: a closed form
+        when one fits, otherwise the LP/MILP coefficient search.
+        Contradictory options raise ``ValueError`` up front.
         """
         from ..compile.program import compile_program
 
@@ -226,7 +225,6 @@ class Env:
             disk_cache=disk_cache,
             cache_dir=cache_dir,
             certify=certify,
-            encoding=encoding,
         )
 
     def solve(self, backend=None, **kwargs) -> "Solution":

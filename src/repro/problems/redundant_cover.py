@@ -10,10 +10,11 @@ NchooseK formulation is one inequality-count constraint per element,
 
 whose accepting window has width ``card − k_e + 1``.  For demands above
 one those windows are narrow (2–5 values in the instances the random
-generator emits), which is exactly the regime where the ``slack-free``
-encoding strategy beats binary slack expansion — this family drives the
-encoding-portfolio benchmark gate and the end-to-end certification
-scenario in ``docs/encodings.md``.
+generator emits).  The compiler encodes each window in closed form: the
+ancilla-free two-point form where a width-2 window admits it, otherwise
+bounded slack.  This family thus carries the inequality shapes the other
+Table I families rarely produce; ``repro solve``, ``repro certify`` and
+the service mix run it.
 
 Handcrafted baseline: the Lucas-style slack QUBO
 :math:`A (\\sum_{i \\ni e} x_i - k_e - \\sum_j c_j y_{e,j})^2 + B \\sum_i x_i`

@@ -36,11 +36,7 @@ KNOWN_SPAN_PREFIXES: frozenset[str] = frozenset(
 #: ``docs/numerics.md``), the solve-service request path
 #: (``service.admission.*`` decision counters, ``service.cache.*``
 #: memoization outcomes, ``service.tenant.*`` per-tenant latency
-#: histograms — see ``docs/service.md``), and the encoding portfolio's
-#: candidate/selection
-#: counters (``compile.encoding.*`` — per-strategy candidate counts,
-#: verification outcomes, and selection results; see
-#: ``docs/encodings.md``).  REP301 validates prefixes;
+#: histograms — see ``docs/service.md``).  REP301 validates prefixes;
 #: this registry is the documented home for the families so dashboards
 #: and ``docs/observability.md`` stay in sync.
 KNOWN_NAME_FAMILIES: frozenset[str] = frozenset(
@@ -49,7 +45,6 @@ KNOWN_NAME_FAMILIES: frozenset[str] = frozenset(
         "service.admission",
         "service.cache",
         "service.tenant",
-        "compile.encoding",
     }
 )
 

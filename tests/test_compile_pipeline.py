@@ -14,13 +14,8 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.compile import (
-    CACHE_DIR_ENV,
-    PipelineConfig,
-    compile_constraint,
-    compile_program,
-)
-from repro.core import Env, nck
+from repro.compile import CACHE_DIR_ENV, PipelineConfig, compile_program
+from repro.core import Env
 
 
 def mixed_env() -> Env:
@@ -172,21 +167,6 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="cache_dir"):
             compile_program(mixed_env(), cache_dir=str(tmp_path), disk_cache=False)
 
-
-
-class TestCompileConstraint:
-    def test_explicit_keywords_reject_typos(self):
-        c = nck(["a", "b"], [1])
-        with pytest.raises(TypeError):
-            compile_constraint(c, exact_penalties=True)  # typo'd keyword
-
-    def test_options_are_honored(self):
-        c = nck(["a", "b", "c"], [1])
-        names = iter(f"z{i}" for i in range(10))
-        q = compile_constraint(c, ancilla_namer=lambda: next(names))
-        assert set(q.variables) <= {"a", "b", "c", "z0", "z1", "z2"}
-        q2 = compile_constraint(c, allow_closed_form=False)
-        assert q2.variables  # synthesized without the closed form
 
 
 class TestCompileCLI:

@@ -10,6 +10,10 @@ this module.
 The namespace is pre-seeded with the small fixtures the prose assumes
 (a 4-cycle ``graph`` with string node names), keeping the examples
 short without making them lie.
+
+``test_links_and_paths_resolve`` also holds the prose to the tree: every
+relative Markdown link and every backticked repo path in README.md,
+DESIGN.md, EXPERIMENTS.md and docs/ must name a file that exists.
 """
 
 from __future__ import annotations
@@ -29,8 +33,17 @@ DOC_FILES = sorted(
     key=lambda p: p.name,
 )
 
+#: The pages whose links and backticked paths must resolve.
+LINKED_FILES = sorted(
+    [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+     *(REPO / "docs").glob("*.md")],
+    key=lambda p: p.name,
+)
+
 _FENCE = re.compile(r"^```python[ \t]*\n(.*?)^```[ \t]*$", re.S | re.M)
 _ANY_PYTHON_FENCE = re.compile(r"^```python\b", re.M)
+_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_REPO_PATH = re.compile(r"`((?:tests|benchmarks|src|examples|docs|pipebench)/[^`\s]*)`")
 
 
 def _fixtures() -> dict:
@@ -64,3 +77,23 @@ def test_docs_tree_is_linked_from_readme():
     readme = (REPO / "README.md").read_text()
     for page in sorted((REPO / "docs").glob("*.md")):
         assert f"docs/{page.name}" in readme, f"{page.name} not linked from README"
+
+
+def _broken_references(path: pathlib.Path) -> list[str]:
+    """``file:line: target`` for each reference in ``path`` that names nothing."""
+    broken = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for target in _LINK.findall(line):
+            if target.startswith(("#", "http://", "https://", "mailto:")):
+                continue
+            if not (path.parent / target.split("#")[0]).exists():
+                broken.append(f"{path.relative_to(REPO)}:{lineno}: {target}")
+        for ref in _REPO_PATH.findall(line):
+            if not (REPO / ref.split("::")[0]).exists():
+                broken.append(f"{path.relative_to(REPO)}:{lineno}: {ref}")
+    return broken
+
+
+def test_links_and_paths_resolve():
+    broken = [ref for path in LINKED_FILES for ref in _broken_references(path)]
+    assert not broken, "references to missing files:\n" + "\n".join(broken)
