@@ -7,8 +7,8 @@ model and one reporting layer:
   pre-compile checks over an :class:`~repro.core.env.Env` (infeasible,
   tautological, duplicate/subsumed constraints; unconstrained
   variables; soft-weight/hard-gap scale mismatches; ancilla-budget
-  estimates).  Runs automatically as the compiler pipeline's opt-out
-  ``lint`` pre-pass.
+  estimates).  Runs automatically as the compiler pipeline's ``lint``
+  pre-pass, on every compile.
 * :mod:`repro.analysis.codelint` — the **codebase lint engine**:
   per-module AST rules over ``src/repro`` (docstring
   presence/coverage, unseeded RNG, naked ``except:``, mutable defaults,

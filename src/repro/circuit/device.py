@@ -167,7 +167,7 @@ class CircuitDevice:
             )
 
         transpiled = self.transpile_qaoa(model, variables)
-        fidelity = self.profile.noise.circuit_fidelity(transpiled.circuit)
+        fidelity = self.profile.noise.fidelity(transpiled.gate_ends)
 
         execution_model = (
             "exact" if n <= self.profile.exact_simulation_limit else "structural"
@@ -199,7 +199,7 @@ class CircuitDevice:
                 "logical_qubits": n,
                 "depth": transpiled.depth,
                 "num_swaps": transpiled.num_swaps,
-                "two_qubit_gates": transpiled.circuit.num_two_qubit_gates(),
+                "two_qubit_gates": transpiled.num_two_qubit_gates,
                 "fidelity": fidelity,
                 "execution_model": execution_model,
             },

@@ -56,23 +56,31 @@ class CircuitNoiseModel:
         self.qubit_quality = np.sort(mult)
 
     # ------------------------------------------------------------------
-    def circuit_fidelity(self, circuit: Circuit) -> float:
+    def fidelity(self, gate_ends) -> float:
         """Probability a shot survives un-depolarized.
 
-        Product of per-gate success probabilities, with each gate's error
-        scaled by the mean quality multiplier of its qubits.  The logs
-        are summed left to right (``cumsum``, not pairwise ``sum``), so
-        the result is the same float a per-gate loop accumulates.
+        ``gate_ends`` holds one ``(first, last)`` qubit pair per basis
+        gate, in circuit order (a one-qubit gate's pair is ``(q, q)``);
+        :attr:`repro.circuit.transpiler.TranspileResult.gate_ends` is
+        such an array.  The result is the product of per-gate success
+        probabilities, with each gate's error scaled by the mean quality
+        multiplier of its qubits.  The logs are summed left to right
+        (``cumsum``, not pairwise ``sum``), so the result is the same
+        float a per-gate loop accumulates.
         """
-        if not circuit.gates:
+        ends = np.asarray(gate_ends)
+        if not len(ends):
             return 1.0
-        ends = np.array([(g.qubits[0], g.qubits[-1]) for g in circuit.gates])
         two_qubit = ends[:, 0] != ends[:, 1]  # a gate's qubits are distinct
         quality = self.qubit_quality[ends % self.num_qubits]
         # The mean of a one-qubit gate's (q, q) is q exactly.
         mult = (quality[:, 0] + quality[:, 1]) / 2.0
         p_err = np.minimum(np.where(two_qubit, self.p2, self.p1) * mult, 0.999)
         return float(np.exp(np.cumsum(np.log1p(-p_err))[-1]))
+
+    def circuit_fidelity(self, circuit: Circuit) -> float:
+        """:meth:`fidelity` of ``circuit``'s gates."""
+        return self.fidelity([(g.qubits[0], g.qubits[-1]) for g in circuit.gates])
 
     def apply_to_counts(
         self,
@@ -84,37 +92,40 @@ class CircuitNoiseModel:
         """Noise-corrupt a noiseless shot histogram.
 
         Each shot depolarizes (uniform random bitstring) with probability
-        ``1 - fidelity`` (:meth:`circuit_fidelity` of the transpiled
-        circuit); surviving shots suffer independent readout bit flips.
+        ``1 - fidelity`` (:meth:`fidelity` of the transpiled circuit);
+        surviving shots suffer independent readout bit flips.  Each
+        distinct state makes its ``binomial``, ``integers`` and (if any
+        shot survived) ``random`` draws in turn, and the returned
+        histogram is keyed in order of first occurrence over those draws.
         """
-        out: dict[int, int] = {}
         size = 1 << num_qubits
+        weights = 1 << np.arange(num_qubits - 1, -1, -1)
+        shots = []
         for state, c in counts.items():
             survived = rng.binomial(c, fidelity)
-            lost = c - survived
             # Depolarized shots: uniform over the computational basis.
-            for s in rng.integers(0, size, size=lost):
-                s = int(s)
-                out[s] = out.get(s, 0) + 1
-            # Readout flips on surviving shots (vectorized per state).
+            shots.append(rng.integers(0, size, size=c - survived))
+            # Readout flips on surviving shots: each shot's flipped bits
+            # as one mask, XORed into the state.
             if survived:
-                bits = np.array(
-                    [(state >> (num_qubits - 1 - i)) & 1 for i in range(num_qubits)],
-                    dtype=np.int8,
-                )
                 flips = rng.random((survived, num_qubits)) < self.p_readout
-                noisy = np.bitwise_xor(bits[None, :], flips.astype(np.int8))
-                weights = 1 << np.arange(num_qubits - 1, -1, -1)
-                states = noisy @ weights
-                for s in states:
-                    s = int(s)
-                    out[s] = out.get(s, 0) + 1
-        return out
+                shots.append(state ^ (flips @ weights))
+        if not shots:
+            return {}
+        # One tally over every shot, keyed in order of first occurrence.
+        states, first, tally = np.unique(
+            np.concatenate(shots), return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        return dict(zip(states[order].tolist(), tally[order].tolist()))
 
 
 @dataclass
 class NoiselessCircuitModel:
     """Identity noise (ablation baseline)."""
+
+    def fidelity(self, gate_ends) -> float:
+        return 1.0
 
     def circuit_fidelity(self, circuit: Circuit) -> float:
         return 1.0

@@ -18,10 +18,11 @@ the mixer to ``RX`` — the circuits whose transpiled depths Figures 9 and
 The expectation is evaluated exactly from the statevector (the classical
 optimizer's inner loop), while final answers are drawn with shot sampling
 through the device noise model, matching how Qiskit's QAOA drives real
-hardware.  Both come from :func:`qaoa_probabilities`, which simulates the
-ansatz without building it: ``U_C`` is diagonal in the computational
-basis, so it is one elementwise multiply by ``exp(-iγ·diag H_C)``, and the
-mixer evolves the flat state itself.  :func:`qaoa_circuit` builds the
+hardware.  Both come from :func:`qaoa_probabilities`'s kernel, which
+simulates the ansatz without building it: ``U_C`` is diagonal in the
+computational basis, so it is one elementwise multiply by
+``exp(-iγ·diag H_C)``, exponentiated once per distinct energy level, and
+the mixer evolves the flat state itself.  :func:`qaoa_circuit` builds the
 same ansatz gate by gate, for the transpiler and the reference simulator.
 """
 
@@ -99,6 +100,12 @@ def cost_diagonal(model: IsingModel, variables: tuple[str, ...]) -> np.ndarray:
 
     Entry ``k`` is the energy of the spin configuration whose bits are the
     binary expansion of ``k`` (bit=1 ⇒ spin −1, the usual mapping).
+
+    The coupler term is summed one nonzero coupler at a time, in
+    row-major order, over contiguous spin columns: the products and the
+    order in which ``np.einsum("si,ij,sj->s", spins, J, spins)`` adds
+    them, so the diagonal keeps the einsum's bits while skipping its
+    zero couplers.
     """
     n = len(variables)
     h, J = model.to_arrays(variables)
@@ -106,7 +113,11 @@ def cost_diagonal(model: IsingModel, variables: tuple[str, ...]) -> np.ndarray:
 
     bits = enumerate_assignments(n).astype(float)
     spins = 1.0 - 2.0 * bits
-    return spins @ h + np.einsum("si,ij,sj->s", spins, J, spins) + model.offset
+    columns = np.ascontiguousarray(spins.T)
+    quad = np.zeros(len(spins))
+    for i, j in zip(*np.nonzero(J)):
+        quad += columns[i] * J[i, j] * columns[j]
+    return spins @ h + quad + model.offset
 
 
 def qaoa_probabilities(
@@ -124,12 +135,29 @@ def qaoa_probabilities(
     ``StatevectorSimulator().probabilities(qaoa_circuit(...))`` to
     rounding, without building a circuit.
     """
-    mixer = mixer or TransverseFieldMixer()
     if len(gammas) != len(betas):
         raise ValueError("gammas and betas must have equal length (layers)")
-    psi = mixer.initial_state(diagonal.size.bit_length() - 1)
+    levels, index = np.unique(diagonal, return_inverse=True)
+    return _level_probabilities(levels, index, gammas, betas, mixer)
+
+
+def _level_probabilities(
+    levels: np.ndarray,
+    index: np.ndarray,
+    gammas: np.ndarray,
+    betas: np.ndarray,
+    mixer=None,
+) -> np.ndarray:
+    """:func:`qaoa_probabilities` of the diagonal ``levels[index]``.
+
+    The phase ``exp(-iγ·diagonal)`` is taken once per distinct energy
+    level and gathered to the states: the same values, elementwise, as
+    exponentiating the whole diagonal, for far fewer exponentials.
+    """
+    mixer = mixer or TransverseFieldMixer()
+    psi = mixer.initial_state(index.size.bit_length() - 1)
     for gamma, beta in zip(gammas, betas):
-        psi *= np.exp(-1j * gamma * diagonal)
+        psi *= np.exp(-1j * gamma * levels)[index]
         psi = mixer.evolve(psi, beta)
     return psi.real**2 + psi.imag**2
 
@@ -181,12 +209,15 @@ class QAOA:
         rng = rng or np.random.default_rng()  # nck: noqa[REP201]
         variables = model.variables
         diagonal = cost_diagonal(model, variables)
+        # The diagonal's distinct energies, taken once per job: each
+        # evaluation exponentiates the levels, not every state.
+        levels, index = np.unique(diagonal, return_inverse=True)
         evaluations = 0
         statevector_seconds = 0.0
 
         def probabilities(params: np.ndarray) -> np.ndarray:
-            return qaoa_probabilities(
-                diagonal, params[: self.layers], params[self.layers :], self.mixer
+            return _level_probabilities(
+                levels, index, params[: self.layers], params[self.layers :], self.mixer
             )
 
         def objective(params: np.ndarray) -> float:

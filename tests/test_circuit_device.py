@@ -10,8 +10,10 @@ from repro.circuit import (
     CircuitNoiseModel,
     CircuitTimingModel,
     NoiselessCircuitModel,
+    Transpiler,
 )
 from repro.circuit import qaoa as qaoa_module
+from repro.circuit.statevector import draw_counts
 from repro.classical import ExactNckSolver
 from repro.core import Env, SolutionQuality
 
@@ -96,11 +98,56 @@ class TestNoiseModel:
         out = noise.apply_to_counts(counts, 3, fidelity, np.random.default_rng(0))
         assert sum(out.values()) == 1000
 
+    @pytest.mark.parametrize("num_qubits", [4, 7, 12, 16])
+    @pytest.mark.parametrize("fidelity", [0.0, 0.37, 0.93, 1.0])
+    def test_apply_to_counts_matches_per_shot_tally(self, num_qubits, fidelity):
+        """The one-pass tally returns the per-shot loop's histogram, keys in
+        the same order, and leaves the generator where the loop left it."""
+
+        def per_shot_tally(noise, counts, num_qubits, fidelity, rng):
+            out: dict[int, int] = {}
+            size = 1 << num_qubits
+            for state, c in counts.items():
+                survived = rng.binomial(c, fidelity)
+                lost = c - survived
+                # Depolarized shots: uniform over the computational basis.
+                for s in rng.integers(0, size, size=lost):
+                    s = int(s)
+                    out[s] = out.get(s, 0) + 1
+                # Readout flips on surviving shots (vectorized per state).
+                if survived:
+                    bits = np.array(
+                        [(state >> (num_qubits - 1 - i)) & 1 for i in range(num_qubits)],
+                        dtype=np.int8,
+                    )
+                    flips = rng.random((survived, num_qubits)) < noise.p_readout
+                    noisy = np.bitwise_xor(bits[None, :], flips.astype(np.int8))
+                    weights = 1 << np.arange(num_qubits - 1, -1, -1)
+                    states = noisy @ weights
+                    for s in states:
+                        s = int(s)
+                        out[s] = out.get(s, 0) + 1
+            return out
+
+        noise = CircuitNoiseModel(p_readout=0.08)
+        source = np.random.default_rng(num_qubits)
+        probs = source.dirichlet(np.full(1 << num_qubits, 0.05))
+        histograms = [draw_counts(probs, 4000, source), {}]
+        for counts in histograms:
+            expected_rng = np.random.default_rng(11)
+            actual_rng = np.random.default_rng(11)
+            expected = per_shot_tally(noise, counts, num_qubits, fidelity, expected_rng)
+            actual = noise.apply_to_counts(counts, num_qubits, fidelity, actual_rng)
+            assert list(actual.items()) == list(expected.items())
+            assert all(type(k) is int and type(v) is int for k, v in actual.items())
+            assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_noiseless_identity(self):
         model = NoiselessCircuitModel()
         circ = Circuit(2)
         circ.add("cx", (0, 1))
         assert model.circuit_fidelity(circ) == 1.0
+        assert model.fidelity(np.array([[0, 1]])) == 1.0
         counts = {1: 10}
         assert model.apply_to_counts(counts, 2, 1.0, None) == counts
 
@@ -180,8 +227,9 @@ class TestDevice:
 
 class TestWorkPerJob:
     def test_exact_job_computes_each_quantity_once(self, monkeypatch):
-        """One exact-path job: one fidelity, one cost diagonal, one depth."""
-        calls = {"circuit_fidelity": 0, "cost_diagonal": 0, "depth": 0}
+        """One exact-path job: one transpile, one fidelity, one cost
+        diagonal, and no basis-gate circuit built or scheduled."""
+        calls = {"transpile": 0, "fidelity": 0, "cost_diagonal": 0, "decomposed": 0, "depth": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -190,19 +238,21 @@ class TestWorkPerJob:
 
             return wrapper
 
+        monkeypatch.setattr(Transpiler, "transpile", counted("transpile", Transpiler.transpile))
         monkeypatch.setattr(
-            CircuitNoiseModel,
-            "circuit_fidelity",
-            counted("circuit_fidelity", CircuitNoiseModel.circuit_fidelity),
+            CircuitNoiseModel, "fidelity", counted("fidelity", CircuitNoiseModel.fidelity)
         )
         monkeypatch.setattr(
             qaoa_module, "cost_diagonal", counted("cost_diagonal", qaoa_module.cost_diagonal)
         )
+        monkeypatch.setattr(Circuit, "decomposed", counted("decomposed", Circuit.decomposed))
         monkeypatch.setattr(Circuit, "depth", counted("depth", Circuit.depth))
         device = CircuitDevice(CircuitDeviceProfile.brooklyn())
         ss = device.sample(mvc_env(), rng=np.random.default_rng(0))
         assert ss.metadata["execution_model"] == "exact"
-        assert calls == {"circuit_fidelity": 1, "cost_diagonal": 1, "depth": 1}
+        assert calls == {
+            "transpile": 1, "fidelity": 1, "cost_diagonal": 1, "decomposed": 0, "depth": 0
+        }
 
 
 class TestEmptyAndEdgePaths:

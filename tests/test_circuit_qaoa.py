@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import (
     QAOA,
     StatevectorSimulator,
+    TransverseFieldMixer,
     XYRingMixer,
     cost_diagonal,
     qaoa_circuit,
     qaoa_probabilities,
 )
+from repro.circuit.statevector import draw_counts
 from repro.qubo import IsingModel, QUBO, enumerate_assignments, qubo_to_ising
 
 
@@ -100,6 +102,113 @@ class TestSimulationKernel:
     def test_mismatched_layers_rejected(self):
         with pytest.raises(ValueError):
             qaoa_probabilities(np.zeros(4), np.array([0.1, 0.2]), np.array([0.1]))
+
+
+def random_model(n: int, couplers: str, levels: str, seed: int) -> IsingModel:
+    """A seeded Ising model on ``s0..s{n-1}``.
+
+    ``couplers`` is "empty", "sparse" (about a fifth of the pairs) or
+    "dense" (every pair); ``levels`` "spread" draws normal coefficients,
+    "repeated" small multiples of 0.5, so energy levels repeat and the
+    offset puts one at exactly zero.
+    """
+    rng = np.random.default_rng(seed)
+    names = [f"s{i}" for i in range(n)]
+    density = {"empty": 0.0, "sparse": 0.2, "dense": 1.0}[couplers]
+
+    def coefficient() -> float:
+        if levels == "spread":
+            return float(rng.normal())
+        return 0.5 * float(rng.choice([-2, -1, 1, 2]))
+
+    h = {v: coefficient() for v in names}
+    J = {
+        (names[i], names[j]): coefficient()
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    }
+    model = IsingModel(h=h, J=J)
+    if levels == "repeated":
+        model.offset = -float(cost_diagonal(model, tuple(names))[0])  # state 0 at zero
+    else:
+        model.offset = float(rng.normal())
+    return model
+
+
+def per_state_probabilities(diagonal, gammas, betas, mixer=None):
+    """The QAOA kernel with one complex exponential per basis state."""
+    mixer = mixer or TransverseFieldMixer()
+    psi = mixer.initial_state(diagonal.size.bit_length() - 1)
+    for gamma, beta in zip(gammas, betas):
+        psi *= np.exp(-1j * gamma * diagonal)
+        psi = mixer.evolve(psi, beta)
+    return psi.real**2 + psi.imag**2
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestKernelsKeepTheirBits:
+    """The coupler-sum diagonal and the per-level phase are the arithmetic
+    they replaced, bit for bit.  Should numpy change the einsum's loop
+    order, the diagonal test fails, as it should."""
+
+    @pytest.mark.parametrize("levels", ["spread", "repeated"])
+    @pytest.mark.parametrize("couplers", ["empty", "sparse", "dense"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_cost_diagonal_matches_the_einsum(self, n, couplers, levels):
+        model = random_model(n, couplers, levels, seed=100 * n)
+        variables = tuple(f"s{i}" for i in range(n))
+        h, J = model.to_arrays(variables)
+        spins = 1.0 - 2.0 * enumerate_assignments(n).astype(float)
+        expected = spins @ h + np.einsum("si,ij,sj->s", spins, J, spins) + model.offset
+        assert same_bits(cost_diagonal(model, variables), expected)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("levels", ["spread", "repeated"])
+    @pytest.mark.parametrize("couplers", ["empty", "sparse", "dense"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 14, 16])
+    def test_probabilities_match_the_per_state_phase(self, n, couplers, levels, layers):
+        model = random_model(n, couplers, levels, seed=7 * n + layers)
+        diagonal = cost_diagonal(model, tuple(f"s{i}" for i in range(n)))
+        if levels == "repeated":
+            assert diagonal[0] == 0.0
+            assert n < 5 or np.unique(diagonal).size < diagonal.size
+        rng = np.random.default_rng(n)
+        gammas, betas = rng.uniform(-np.pi, np.pi, (2, layers))
+        mixers = [None] + ([XYRingMixer(hamming_weight=n // 2)] if n <= 10 else [])
+        for mixer in mixers:
+            assert same_bits(
+                qaoa_probabilities(diagonal, gammas, betas, mixer),
+                per_state_probabilities(diagonal, gammas, betas, mixer),
+            )
+
+    @pytest.mark.parametrize(
+        "n, layers, xy", [(3, 1, False), (6, 2, False), (9, 1, True), (12, 2, False)]
+    )
+    def test_optimizer_matches_the_per_state_phase(self, n, layers, xy):
+        """Every COBYLA evaluation and the final draw."""
+        model = random_model(n, "sparse", "repeated", seed=n)
+        mixer = XYRingMixer(hamming_weight=n // 3) if xy else None
+        diagonal = cost_diagonal(model, model.variables)
+        seen = []
+        result = QAOA(layers=layers, maxiter=12, mixer=mixer).optimize(
+            model,
+            rng=np.random.default_rng(n),
+            callback=lambda params, value: seen.append((params.copy(), value)),
+        )
+        assert len(seen) == result.num_circuit_evaluations
+        for params, value in seen:
+            probs = per_state_probabilities(diagonal, params[:layers], params[layers:], mixer)
+            assert value == float(probs @ diagonal)
+        replay = np.random.default_rng(n)
+        replay.uniform(0.0, np.pi / 4, layers)
+        replay.uniform(np.pi / 8, 3 * np.pi / 8, layers)
+        best = result.parameters
+        probs = per_state_probabilities(diagonal, best[:layers], best[layers:], mixer)
+        assert result.counts == draw_counts(probs, 4000, replay)
 
 
 class TestOptimization:
