@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-slow docs-check lint lint-docstrings certify bench bench-smoke bench-compile serve-smoke trace-table1 all-checks
+.PHONY: test test-slow docs-check lint certify bench bench-smoke bench-compile serve-smoke trace-table1 all-checks
 
 CERTIFY_PROBLEMS := vertex-cover max-cut clique-cover map-coloring exact-cover set-cover redundant-cover 3sat
 
@@ -17,12 +17,8 @@ test-slow:       ## just the long-running end-to-end demos
 docs-check:      ## execute every runnable code block in README.md and docs/
 	$(PYTHON) -m pytest tests/test_docs_examples.py -q
 
-lint:            ## static analysis: self-lint the codebase + analyzer test suites + cache-key probe
-	$(PYTHON) -m repro lint --self
-	$(PYTHON) -m pytest tests/test_analysis_program.py tests/test_analysis_codelint.py tests/test_cache_keys.py -q
-
-lint-docstrings: ## docstring presence + parameter-coverage lint
-	$(PYTHON) -m pytest tests/test_docstrings.py -q
+lint:            ## static analysis: codebase hygiene checks + program-linter tests + cache-key probe
+	$(PYTHON) -m pytest tests/test_codebase.py tests/test_analysis_program.py tests/test_cache_keys.py -q
 
 certify:         ## prove hard dominance + soft fidelity for every problem family
 	@for p in $(CERTIFY_PROBLEMS); do \
@@ -30,7 +26,7 @@ certify:         ## prove hard dominance + soft fidelity for every problem famil
 		$(PYTHON) -m repro certify $$p || exit $$?; \
 	done
 
-bench:           ## regenerate every table & figure
+bench:           ## every gate and ablation bench (the paper's artifacts: python -m repro all)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 bench-smoke:     ## tiny-budget benches: portfolio runtime + compiler pipeline + certification + sparse-kernel gate + solve service

@@ -1,8 +1,10 @@
-"""Shared configuration for the benchmark/experiment harness.
+"""Shared configuration for the gate and ablation benches.
 
-Every ``bench_*`` module regenerates one of the paper's tables or
-figures: it prints the measured rows/series (compare shapes against the
-paper) and registers a representative kernel with pytest-benchmark.
+Each ``bench_*`` module either gates one performance claim (the five
+``make bench-smoke`` modules) or prints one ablation that EXPERIMENTS.md
+and DESIGN.md cite, and registers a representative kernel with
+pytest-benchmark.  The paper's tables and figures themselves are
+printed by ``python -m repro <artifact>``.
 
 Run with::
 

@@ -17,7 +17,6 @@ Usage::
         [--cache-dir DIR] [--no-disk-cache]
     python -m repro lint vertex-cover --n 20 \\
         [--json] [--min-severity LEVEL] [--hard-scale X] [--qubit-budget Q]
-    python -m repro lint --self [--json] [--min-severity LEVEL]
     python -m repro certify vertex-cover --n 24 \\
         [--json] [--min-severity LEVEL] [--hard-scale X] [--out FILE] \\
         [--cache-dir DIR] [--no-cache] [--no-fallback]
@@ -26,8 +25,7 @@ Usage::
         [--backends classical] [--rate R] [--burst B]
 
 Artifact subcommands print the measured rows/series of one paper
-artifact (the same output the benchmark harness produces, without
-pytest).  ``solve`` generates a problem instance from the Table I
+artifact.  ``solve`` generates a problem instance from the Table I
 library and runs it through the :mod:`repro.runtime` portfolio —
 racing, merging, or falling back across the classical, annealing, and
 QAOA backends — then prints the winning solution and the per-attempt
@@ -35,10 +33,9 @@ provenance.  ``compile`` runs the same instance through the staged
 compiler pipeline only (see ``docs/compiler.md``) and prints the QUBO
 shape, the per-pass provenance table, and the in-memory/on-disk cache
 statistics — with ``--cache-dir DIR`` pointing the persistent template
-store somewhere explicit.  ``lint`` runs the static analyzers of
-:mod:`repro.analysis` — over a generated program, or over the repro
-codebase itself with ``--self`` (the per-module REP1xx–4xx rules) —
-and exits 2/1/0 for errors/warnings/clean (see ``docs/analysis.md``).
+store somewhere explicit.  ``lint`` runs the program linter of
+:mod:`repro.analysis` over a generated program and exits 2/1/0 for
+errors/warnings/clean (see ``docs/analysis.md``).
 ``certify`` compiles an instance and runs the compositional
 certification engine (:mod:`repro.analysis.certify`) over the artifact
 — proving the hard dominance and soft fidelity claims without
@@ -562,7 +559,7 @@ COMMANDS: tuple[Command, ...] = (
     ),
     Command(
         "lint",
-        "statically analyze a generated program, or the codebase (--self)",
+        "statically analyze a generated program",
         _lint,
         configure=_configure_lint,
         artifact=False,

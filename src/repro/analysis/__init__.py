@@ -1,6 +1,6 @@
-"""Static analysis for NchooseK programs and for the repo itself.
+"""Static analysis for NchooseK programs.
 
-Three analyzers share one :class:`~repro.analysis.diagnostics.Diagnostic`
+Two analyzers share one :class:`~repro.analysis.diagnostics.Diagnostic`
 model and one reporting layer:
 
 * :mod:`repro.analysis.program` — the **program linter**: semantic
@@ -9,11 +9,6 @@ model and one reporting layer:
   variables; soft-weight/hard-gap scale mismatches; ancilla-budget
   estimates).  Runs automatically as the compiler pipeline's ``lint``
   pre-pass, on every compile.
-* :mod:`repro.analysis.codelint` — the **codebase lint engine**:
-  per-module AST rules over ``src/repro`` (docstring
-  presence/coverage, unseeded RNG, naked ``except:``, mutable defaults,
-  telemetry-name registry, diagnostic-code catalog drift, ``__all__``
-  drift), honoring per-line ``# nck: noqa[CODE]`` suppressions.
 * :mod:`repro.analysis.certify` — the **certification engine**:
   post-compile compositional proofs over a
   :class:`~repro.compile.program.CompiledProgram` (per-constraint
@@ -22,9 +17,11 @@ model and one reporting layer:
   enumeration as the small-program fallback).  Runs as the pipeline's
   opt-in ``certify`` post-pass and cross-checks portfolio runs.
 
-All three surface through ``python -m repro lint <problem>|--self`` and
+Both surface through ``python -m repro lint <problem>`` and
 ``python -m repro certify <problem>``, and are catalogued, with worked
-examples per rule code, in ``docs/analysis.md``.
+examples per rule code, in ``docs/analysis.md``.  The repository's own
+hygiene rules (docstrings, seeded RNG, telemetry names, ``__all__``)
+are plain tests in ``tests/test_codebase.py``.
 """
 
 from .certify import (
@@ -38,7 +35,6 @@ from .certify import (
     check_energy,
     recheck_certificate,
 )
-from .codelint import CODE_RULES, lint_file, lint_package
 from .diagnostics import (
     Diagnostic,
     RuleInfo,
@@ -53,7 +49,6 @@ from .report import render_json, render_text
 
 __all__ = [
     "CERTIFY_RULES",
-    "CODE_RULES",
     "CertificateStore",
     "CertificationError",
     "ConstraintCertificate",
@@ -69,8 +64,6 @@ __all__ = [
     "exit_code",
     "filter_ignored",
     "gate",
-    "lint_file",
-    "lint_package",
     "lint_program",
     "recheck_certificate",
     "render_json",

@@ -90,7 +90,8 @@ CERT_SCHEMA_VERSION = 1
 MAX_PROFILE_BITS = 22
 
 #: The NCK4xx rule family emitted by this module (catalog lives in
-#: ``docs/analysis.md``; REP302 keeps the two in sync).
+#: ``docs/analysis.md``; ``tests/test_codebase.py`` keeps the two in
+#: sync).
 CERTIFY_RULES: dict[str, RuleInfo] = {
     r.code: r
     for r in (

@@ -1,14 +1,8 @@
 """The ``python -m repro lint`` and ``python -m repro certify`` subcommands.
 
-``lint`` has two modes sharing one reporting path:
-
-``python -m repro lint <problem> [--n N]``
-    Generate a Table I problem instance (the same generators ``solve``
-    and ``compile`` use) and run the program linter over its ``Env``.
-
-``python -m repro lint --self``
-    Run the codebase lint engine's per-module REP1xx–4xx rules over
-    every file of the installed ``repro`` package.
+``python -m repro lint <problem> [--n N]`` generates a Table I problem
+instance (the same generators ``solve`` and ``compile`` use) and runs
+the program linter (:mod:`repro.analysis.program`) over its ``Env``.
 
 ``python -m repro certify <problem> [--n N] [--out FILE]`` compiles the
 same instance and runs the compositional certification engine
@@ -20,7 +14,7 @@ verdict against the exhaustive verifier; beyond the cap
 (:class:`~repro.compile.validate.ValidationCapExceeded`) the
 certificates are the only checker that can run.
 
-All modes render text by default or the versioned JSON envelope with
+Both commands render text by default or the versioned JSON envelope with
 ``--json``, gate the display with ``--min-severity``, and exit 2 on any
 error-severity finding, 1 on warnings, 0 when clean — so ``make lint``
 and ``make certify`` can gate CI on the exit code alone.
@@ -41,15 +35,8 @@ def configure_lint(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "problem",
-        nargs="?",
         choices=SOLVE_PROBLEMS,
-        help="problem family to generate and lint (omit with --self)",
-    )
-    parser.add_argument(
-        "--self",
-        dest="self_lint",
-        action="store_true",
-        help="lint the repro codebase itself instead of a program",
+        help="problem family to generate and lint",
     )
     parser.add_argument(
         "--n", type=int, default=12, help="instance size (nodes/elements/variables)"
@@ -78,29 +65,16 @@ def configure_lint(parser: argparse.ArgumentParser) -> None:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    """Run the requested analyzer and return the process exit code."""
-    import sys
+    """Lint the generated program and return the process exit code."""
+    from ..__main__ import _build_problem
+    from .program import lint_program
 
-    if args.self_lint == (args.problem is not None):
-        print(
-            "repro lint: error: name a problem or pass --self (not both)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if args.self_lint:
-        from .codelint import lint_package
-
-        diagnostics = lint_package()
-    else:
-        from ..__main__ import _build_problem
-        from .program import lint_program
-
-        instance = _build_problem(args.problem, args.n, args.seed)
-        diagnostics = lint_program(
-            instance.build_env(),
-            hard_scale=args.hard_scale,
-            qubit_budget=args.qubit_budget,
-        )
+    instance = _build_problem(args.problem, args.n, args.seed)
+    diagnostics = lint_program(
+        instance.build_env(),
+        hard_scale=args.hard_scale,
+        qubit_budget=args.qubit_budget,
+    )
 
     minimum = Severity.parse(args.min_severity)
     if args.json:

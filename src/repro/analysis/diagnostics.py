@@ -1,13 +1,12 @@
 """The shared diagnostic model of :mod:`repro.analysis`.
 
-Every analyzer — the NchooseK program linter
-(:mod:`repro.analysis.program`), the codebase lint engine
-(:mod:`repro.analysis.codelint`), and the certification engine
-(:mod:`repro.analysis.certify`) — emits the same value type: a
-:class:`Diagnostic` carrying a stable rule code, a severity, a location
-(source file/line for code lints, constraint/variable identity for
-program lints), a message, and an optional fix hint.  One model means
-one reporting layer (:mod:`repro.analysis.report`) serves both.
+Both analyzers — the NchooseK program linter
+(:mod:`repro.analysis.program`) and the certification engine
+(:mod:`repro.analysis.certify`) — emit the same value type: a
+:class:`Diagnostic` carrying a stable rule code, a severity, the
+offending object (a constraint or variable label), a message, and an
+optional fix hint.  One model means one reporting layer
+(:mod:`repro.analysis.report`) serves both.
 
 Rule-code families
 ------------------
@@ -23,22 +22,12 @@ Rule-code families
     established or refuted, soft-fidelity violations, per-constraint /
     whole-program QUBO sum mismatches, structural certificate problems,
     inconclusive constraints.
-``REP1xx``
-    Repository docstring hygiene (presence + parameter coverage).
-``REP2xx``
-    Repository runtime hygiene (unseeded RNG, naked except, mutable
-    defaults).
-``REP3xx``
-    Telemetry naming (names outside the declared span registry).
-``REP4xx``
-    Public-surface hygiene (``__all__`` drift).
 
 Suppression
 -----------
-Code lints honor per-line ``# nck: noqa`` / ``# nck: noqa[CODE,...]``
-comments (parsed by the engine); program lints — which see Python
-objects, not source lines — take an ``ignore=("NCK104", ...)`` argument
-instead.  Both are documented with examples in ``docs/analysis.md``.
+Program lints see Python objects, not source lines, so they take an
+``ignore=("NCK104", ...)`` argument (see :func:`filter_ignored` and
+``docs/analysis.md``).
 """
 
 from __future__ import annotations
@@ -77,23 +66,16 @@ class Diagnostic:
     Attributes
     ----------
     code:
-        Stable rule identifier, e.g. ``"NCK101"`` or ``"REP201"``.
+        Stable rule identifier, e.g. ``"NCK101"``.
     severity:
         :class:`Severity` of the finding.
     message:
         Human-readable, single-sentence statement of the problem.
     source:
-        Which analyzer produced it: ``"program"`` or ``"codelint"``.
-    file:
-        Repository-relative path for code lints, ``None`` for program
-        lints.
-    line / column:
-        1-based line and 0-based column for code lints, ``None``
-        otherwise.
+        Which analyzer produced it: ``"program"`` or ``"certify"``.
     obj:
-        The offending object's identity: a dotted qualname for code
-        lints (``"Env.nck"``), a ``constraint[i]`` / ``variable name``
-        label for program lints.
+        The offending object's identity: a ``constraint[i]`` /
+        ``variable name`` label.
     hint:
         Optional actionable fix suggestion.
     """
@@ -102,18 +84,12 @@ class Diagnostic:
     severity: Severity
     message: str
     source: str = "program"
-    file: str | None = None
-    line: int | None = None
-    column: int | None = None
     obj: str | None = None
     hint: str | None = None
 
     @property
     def location(self) -> str:
         """Human-readable location prefix for the text report."""
-        if self.file is not None:
-            pos = f":{self.line}" if self.line is not None else ""
-            return f"{self.file}{pos}"
         return self.obj or "<program>"
 
     def render(self) -> str:
@@ -130,16 +106,13 @@ class Diagnostic:
             "severity": str(self.severity),
             "message": self.message,
             "source": self.source,
-            "file": self.file,
-            "line": self.line,
-            "column": self.column,
             "object": self.obj,
             "hint": self.hint,
         }
 
-    def sort_key(self) -> tuple:
-        """Stable report order: file, line, then code."""
-        return (self.file or "", self.line or 0, self.column or 0, self.code)
+    def sort_key(self) -> str:
+        """Stable report order: by code (ties keep emission order)."""
+        return self.code
 
 
 @dataclass

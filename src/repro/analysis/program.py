@@ -360,8 +360,7 @@ def lint_program(
         Device qubit count enabling the NCK301 resource check; ``None``
         skips it.
     ignore:
-        Rule codes to suppress, e.g. ``("NCK104",)`` — the program-lint
-        counterpart of the ``# nck: noqa[CODE]`` source comment.
+        Rule codes to suppress, e.g. ``("NCK104",)``.
     rules:
         Run only these rule codes (default: all registered rules).
     """

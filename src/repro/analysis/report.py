@@ -15,7 +15,7 @@ from typing import Iterable
 from .diagnostics import Diagnostic, Severity, gate, severity_counts
 
 #: Version of the JSON report envelope.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def summary_line(diagnostics: Iterable[Diagnostic]) -> str:
@@ -52,7 +52,7 @@ def render_json(
 ) -> str:
     """Versioned JSON report of findings at or above ``minimum``.
 
-    The envelope is ``{"version": 1, "diagnostics": [...], "summary":
+    The envelope is ``{"version": 2, "diagnostics": [...], "summary":
     {"error": n, "warning": n, "info": n}}`` with each diagnostic
     serialized by :meth:`~repro.analysis.diagnostics.Diagnostic.to_dict`.
     """

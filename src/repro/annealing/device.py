@@ -229,7 +229,7 @@ class AnnealingDevice:
         problem (as the scaling studies do); remaining keyword arguments
         flow to :meth:`Env.to_qubo` when compiling here.
         """
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+        rng = rng or np.random.default_rng()
         num_reads = num_reads or self.profile.default_num_reads
         with telemetry.span(
             "anneal.job", device=self.name, num_reads=num_reads

@@ -149,7 +149,7 @@ def find_embedding(
             f"{source.number_of_nodes()} variables exceed "
             f"{target.number_of_nodes()} physical qubits"
         )
-    rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+    rng = rng or np.random.default_rng()
 
     mean_degree = 2.0 * source.number_of_edges() / source.number_of_nodes()
     dense = mean_degree > DENSE_DEGREE_THRESHOLD

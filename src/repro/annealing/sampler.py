@@ -240,7 +240,7 @@ class SimulatedAnnealingSampler:
         identically, so the choice affects floating-point rounding only —
         see ``docs/numerics.md`` for the exact determinism contract.
         """
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+        rng = rng or np.random.default_rng()
         order = tuple(variables) if variables is not None else model.variables
         n = len(order)
         if n == 0:

@@ -66,12 +66,6 @@ class Circuit:
             depth = max(depth, start + 1)
         return depth
 
-    def qubits_touched(self) -> set[int]:
-        touched: set[int] = set()
-        for g in self.gates:
-            touched.update(g.qubits)
-        return touched
-
     # ------------------------------------------------------------------
     def decomposed(self) -> "Circuit":
         """This circuit rewritten into the hardware basis gate set."""
@@ -82,13 +76,6 @@ class Circuit:
 
     def is_basis_only(self) -> bool:
         return all(g.name in BASIS_GATES for g in self.gates)
-
-    def remapped(self, mapping: dict[int, int], num_qubits: int | None = None) -> "Circuit":
-        """The same circuit on relabeled qubits."""
-        out = Circuit(num_qubits or self.num_qubits)
-        for g in self.gates:
-            out.append(g.remapped(mapping))
-        return out
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -140,7 +140,7 @@ class CircuitDevice:
         be supplied to skip compilation, and remaining keyword arguments
         flow to :meth:`Env.to_qubo` otherwise.
         """
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+        rng = rng or np.random.default_rng()
         with telemetry.span("circuit.job", device=self.name) as tspan:
             return self._sample(env, rng, program, tspan, compile_kwargs)
 

@@ -56,10 +56,6 @@ class Gate:
         """Dense unitary of this gate (2×2 or 4×4)."""
         return gate_matrix(self.name, self.params)
 
-    def remapped(self, mapping: dict[int, int]) -> "Gate":
-        """The same gate on relabeled qubits."""
-        return Gate(self.name, tuple(mapping[q] for q in self.qubits), self.params)
-
 
 GATE_ARITY = {
     "h": 1,

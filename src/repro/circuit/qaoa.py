@@ -206,7 +206,7 @@ class QAOA:
         sample — the paper's "a single result is returned" semantics is
         applied by the caller, which takes :attr:`QAOAResult.best_bits`.
         """
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+        rng = rng or np.random.default_rng()
         variables = model.variables
         diagonal = cost_diagonal(model, variables)
         # The diagonal's distinct energies, taken once per job: each

@@ -220,7 +220,10 @@ class Transpiler:
         an empty qubit); both are updated as swaps are applied.
         Single-qubit gates pass through; a two-qubit gate on non-adjacent
         physical qubits triggers swaps chosen to shrink the summed
-        distance of the lookahead window.
+        distance of the lookahead window.  The lookahead can outweigh
+        the blocked gate and swap back and forth; past ``4·P`` swaps for
+        one gate those swaps are undone and the gate is routed along a
+        shortest path instead (:meth:`_walk`).
         """
         dist = self._dist_rows
         to_phys = [0] * len(layout)
@@ -251,11 +254,57 @@ class Transpiler:
                     to_phys[lb] = pa
                 to_logical[pa], to_logical[pb] = lb, la
                 guard += 1
-                if guard > 4 * self.num_physical_qubits:  # pragma: no cover
-                    raise RuntimeError("routing failed to converge")
+                if guard > 4 * self.num_physical_qubits:
+                    num_swaps += self._walk(routed, to_phys, to_logical, a, b, guard)
+                    break
             next_2q_index += 1
             routed.append((name, (to_phys[a], to_phys[b]), params))
         return routed, {lq: to_phys[lq] for lq in layout}, num_swaps
+
+    def _walk(
+        self,
+        routed: list[Op],
+        to_phys: list[int],
+        to_logical: list[int],
+        a: int,
+        b: int,
+        undo: int,
+    ) -> int:
+        """Route the blocked gate ``(a, b)`` along a shortest path.
+
+        Drops the last ``undo`` swaps of ``routed`` (the gate's own) and
+        reverts them on the maps, then swaps ``a``'s qubit through the
+        first coupler in ``self._couplers`` order whose far end is one
+        step closer to ``b``'s, until the pair is adjacent.  Returns the
+        change in the swap count.
+        """
+        dist = self._dist_rows
+
+        def swap(pa: int, pb: int) -> None:
+            la, lb = to_logical[pa], to_logical[pb]
+            if la >= 0:
+                to_phys[la] = pb
+            if lb >= 0:
+                to_phys[lb] = pa
+            to_logical[pa], to_logical[pb] = lb, la
+
+        for _, (pa, pb), _ in reversed(routed[-undo:]):
+            swap(pa, pb)
+        del routed[-undo:]
+        if dist[to_phys[a]][to_phys[b]] == np.inf:
+            raise RuntimeError("routing failed to converge")
+        walked = 0
+        while dist[to_phys[a]][to_phys[b]] > 1:
+            pa, pb = to_phys[a], to_phys[b]
+            coupler = next(
+                (p, q)
+                for p, q in self._couplers[pa]
+                if dist[q if p == pa else p][pb] < dist[pa][pb]
+            )
+            routed.append(("swap", coupler, ()))
+            swap(*coupler)
+            walked += 1
+        return walked - undo
 
     def _best_swap(
         self,

@@ -6,8 +6,9 @@ Two roles:
   a depth-first branch-and-bound with interval bounds (medium problems).
   Section VIII-C observes that handing QUBO-translated problems to a
   classical solver performs far worse than solving the original
-  constraint program; the benches reproduce that gap with this solver
-  against :class:`~repro.classical.nck_solver.ExactNckSolver`.
+  constraint program; ``tests/test_classical_qubo.py`` reproduces that
+  gap with this solver's branch-and-bound against
+  :class:`~repro.classical.nck_solver.ExactNckSolver`.
 * ``greedy_descent`` — single-flip local search used by the annealing
   device for post-processing and by tests as a cheap reference.
 """
@@ -81,7 +82,7 @@ class ExactQUBOSolver:
         negative contribution it could make (its linear coefficient plus
         all negative couplings to decided-TRUE and undecided variables).
         Exact but exponential in the worst case — which is the point of
-        the comparison bench.
+        the comparison test.
         """
         Q, offset = to_dense(qubo, variables)
         Qs = Q + Q.T - np.diag(np.diag(Q))  # symmetric couplings, diag = linear

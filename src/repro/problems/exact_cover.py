@@ -91,7 +91,7 @@ class ExactCover(ProblemInstance):
         kept small so per-element collections (and thus per-constraint
         truth tables) stay compiler-friendly.
         """
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+        rng = rng or np.random.default_rng()
         if num_subsets < 1:
             raise ValueError("need at least one subset")
         elements = list(rng.permutation(num_elements))

@@ -170,7 +170,7 @@ class KSat(ProblemInstance):
         each clause is re-rolled until it satisfies it, so scaling studies
         measure solver fidelity rather than UNSAT detection.
         """
-        rng = rng or np.random.default_rng()  # nck: noqa[REP201]
+        rng = rng or np.random.default_rng()
         if num_vars < 3:
             raise ValueError("3-SAT needs at least 3 variables")
         hidden = rng.integers(0, 2, size=num_vars).astype(bool)

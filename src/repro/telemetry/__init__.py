@@ -30,7 +30,7 @@ Span and metric naming conventions, the canonical names each package
 emits, and the exporter formats are documented in
 ``docs/observability.md``.  The declared subsystem prefixes live in
 :data:`~repro.telemetry.naming.KNOWN_SPAN_PREFIXES` and are enforced
-statically by ``python -m repro lint --self`` (rule ``REP301``).
+statically by ``tests/test_codebase.py``.
 """
 
 from .naming import KNOWN_NAME_FAMILIES, KNOWN_SPAN_PREFIXES, is_canonical_name

@@ -4,9 +4,10 @@ Every telemetry name in the codebase follows the
 ``<subsystem>.<event>`` convention documented in
 ``docs/observability.md``: dotted lowercase, with the leading segment
 naming the emitting subsystem.  This module is the single place those
-subsystems are declared; :mod:`repro.analysis.codelint` rule ``REP301``
-enforces the registry statically, so a typo'd or undeclared prefix
-fails ``make lint`` instead of silently fragmenting dashboards.
+subsystems are declared; the ``telemetry_names`` check in
+``tests/test_codebase.py`` enforces the registry statically, so a
+typo'd or undeclared prefix fails the test suite instead of silently
+fragmenting dashboards.
 
 Adding a new instrumented subsystem is a two-step change: add its
 prefix here, and document its canonical names in
@@ -36,9 +37,9 @@ KNOWN_SPAN_PREFIXES: frozenset[str] = frozenset(
 #: ``docs/numerics.md``), the solve-service request path
 #: (``service.admission.*`` decision counters, ``service.cache.*``
 #: memoization outcomes, ``service.tenant.*`` per-tenant latency
-#: histograms — see ``docs/service.md``).  REP301 validates prefixes;
-#: this registry is the documented home for the families so dashboards
-#: and ``docs/observability.md`` stay in sync.
+#: histograms — see ``docs/service.md``).  The static check validates
+#: prefixes; this registry is the documented home for the families so
+#: dashboards and ``docs/observability.md`` stay in sync.
 KNOWN_NAME_FAMILIES: frozenset[str] = frozenset(
     {
         "anneal.sparse",

@@ -9,6 +9,7 @@ a minimal degenerate program.
 
 from __future__ import annotations
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -16,7 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import SOLVE_PROBLEMS, _build_problem
-from repro.analysis import Severity, estimate_qubits, gate, lint_program
+from repro.analysis import (
+    Severity,
+    estimate_qubits,
+    exit_code,
+    gate,
+    lint_program,
+    render_json,
+    render_text,
+)
 from repro.analysis.program import PROGRAM_RULES
 from repro.core import Env
 
@@ -154,6 +163,42 @@ class TestSuppression:
         env.nck([a, b], [0, 1, 2])
         diags = lint_program(env, rules=("NCK102",))
         assert codes(diags) == ["NCK102"]
+
+
+class TestReporting:
+    """Text, JSON and exit codes over program-lint findings."""
+
+    def warning_diags(self):
+        env = Env()
+        a, b = env.register_ports(["a", "b"])
+        env.nck([a], [1])  # leaves b unconstrained: one NCK104 warning
+        return lint_program(env)
+
+    def test_render_text_line_format(self):
+        text = render_text(self.warning_diags())
+        assert text.startswith("variable b: warning NCK104 ")
+        assert text.endswith("0 errors, 1 warning, 0 info")
+
+    def test_render_text_gate(self):
+        text = render_text(self.warning_diags(), minimum=Severity.ERROR)
+        assert text == "clean (no findings at or above error)"
+
+    def test_render_json_envelope(self):
+        payload = json.loads(render_json(self.warning_diags()))
+        assert payload["version"] == 2
+        assert payload["summary"] == {"error": 0, "warning": 1, "info": 0}
+        (entry,) = payload["diagnostics"]
+        assert entry["code"] == "NCK104" and entry["severity"] == "warning"
+        assert entry["source"] == "program" and entry["object"] == "variable b"
+        assert "file" not in entry and "line" not in entry
+
+    def test_exit_codes(self):
+        assert exit_code([]) == 0
+        assert exit_code(self.warning_diags()) == 1
+        env = Env()
+        (a,) = env.register_ports(["a"])
+        env.nck([a, a], [1])  # hard and infeasible: NCK101 error
+        assert exit_code(lint_program(env)) == 2
 
 
 class TestEstimateQubits:

@@ -72,12 +72,6 @@ class TestCounts:
         c.add("x", 0)
         assert c.num_two_qubit_gates() == 2
 
-    def test_qubits_touched(self):
-        c = Circuit(5)
-        c.add("h", 1)
-        c.add("cx", (2, 4))
-        assert c.qubits_touched() == {1, 2, 4}
-
 
 class TestTransformations:
     def test_decomposed_is_basis_only(self):
@@ -94,13 +88,6 @@ class TestTransformations:
         c.add("h", 0)
         c.add("rzz", (0, 1), 0.3)
         assert c.decomposed().depth() >= c.depth()
-
-    def test_remapped(self):
-        c = Circuit(2)
-        c.add("cx", (0, 1))
-        r = c.remapped({0: 3, 1: 7}, num_qubits=8)
-        assert r.gates[0].qubits == (3, 7)
-        assert r.num_qubits == 8
 
     def test_iteration(self):
         c = Circuit(1, [Gate("x", (0,))])

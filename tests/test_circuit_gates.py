@@ -76,10 +76,6 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate("frobnicate", (0,))
 
-    def test_remap(self):
-        g = Gate("cx", (0, 1)).remapped({0: 5, 1: 3})
-        assert g.qubits == (5, 3)
-
 
 def global_phase_equal(A: np.ndarray, B: np.ndarray) -> bool:
     """U ≡ V up to global phase."""

@@ -39,6 +39,57 @@ def assert_respects_coupling(circuit: Circuit, coupling: nx.Graph):
             assert coupling.has_edge(*g.qubits), f"{g} not on a coupler"
 
 
+def assert_same_distribution(circuit: Circuit, result) -> None:
+    """The transpiled circuit computes ``circuit``'s distribution, modulo
+    the final layout permutation."""
+    from repro.circuit import StatevectorSimulator
+
+    sim = StatevectorSimulator()
+    probs_logical = sim.probabilities(circuit)
+    probs_physical = sim.probabilities(result.circuit)
+
+    n = circuit.num_qubits
+    # Map each logical basis state through the final layout.
+    for logical_state in range(2**n):
+        bits = [(logical_state >> (n - 1 - i)) & 1 for i in range(n)]
+        phys_state = 0
+        for lq, pq in result.final_layout.items():
+            if bits[lq]:
+                phys_state |= 1 << (result.circuit.num_qubits - 1 - pq)
+        assert probs_physical[phys_state] == pytest.approx(
+            probs_logical[logical_state], abs=1e-9
+        )
+
+
+def _unswapped(ops, label: dict[int, int]) -> list:
+    """``ops`` with every swap folded into ``label`` (qubit → the input
+    qubit whose state it holds), the other ops on those labels."""
+    out = []
+    for name, qubits, params in ops:
+        if name == "swap":
+            p, q = qubits
+            label[p], label[q] = label[q], label[p]
+        else:
+            out.append((name, tuple(label[q] for q in qubits), params))
+    return out
+
+
+def assert_valid_routing(coupling: nx.Graph, circuit: Circuit, result) -> None:
+    """Every basis gate sits on a coupler, and with the swaps folded into
+    the qubit labels the routed ops are ``circuit``'s ops, ending with
+    each logical qubit's state at its final-layout qubit.  This holds the
+    routing to the input gate for gate at any device size."""
+    assert_respects_coupling(result.circuit, coupling)
+    logical = {q: q for q in range(circuit.num_qubits)}
+    # An empty physical qubit holds no input state: label it apart.
+    physical = {p: -1 - p for p in range(result.num_qubits)}
+    physical.update({p: lq for lq, p in result.initial_layout.items()})
+    gates = [(g.name, g.qubits, g.params) for g in circuit.gates]
+    assert _unswapped(result.routed, physical) == _unswapped(gates, logical)
+    for lq, p in result.final_layout.items():
+        assert physical[p] == logical[lq]
+
+
 class TestCouplingMaps:
     def test_brooklyn_65(self):
         g = brooklyn_coupling_map()
@@ -119,29 +170,17 @@ class TestTranspile:
     def test_semantics_preserved(self):
         """Transpiled circuit computes the same distribution, modulo the
         final layout permutation."""
-        from repro.circuit import StatevectorSimulator
-
         rng = np.random.default_rng(3)
-        coupling = linear_coupling(4)
-        transpiler = Transpiler(coupling)
         circ = random_circuit(rng, 4, 12)
-        result = transpiler.transpile(circ)
+        result = Transpiler(linear_coupling(4)).transpile(circ)
+        assert_same_distribution(circ, result)
 
-        sim = StatevectorSimulator()
-        probs_logical = sim.probabilities(circ)
-        probs_physical = sim.probabilities(result.circuit)
-
-        n = 4
-        # Map each logical basis state through the final layout.
-        for logical_state in range(2**n):
-            bits = [(logical_state >> (n - 1 - i)) & 1 for i in range(n)]
-            phys_state = 0
-            for lq, pq in result.final_layout.items():
-                if bits[lq]:
-                    phys_state |= 1 << (result.circuit.num_qubits - 1 - pq)
-            assert probs_physical[phys_state] == pytest.approx(
-                probs_logical[logical_state], abs=1e-9
-            )
+    def test_gate_across_disconnected_couplers_still_fails(self):
+        circuit = Circuit(4)
+        for pair in [(0, 1), (2, 3)] * 3 + [(0, 2)]:
+            circuit.add("cx", pair)
+        with pytest.raises(RuntimeError, match="routing failed to converge"):
+            Transpiler(nx.Graph([(0, 1), (2, 3)])).transpile(circuit)
 
     def test_depth_growth_on_sparse_coupling(self):
         """The same circuit is deeper on a line than with full coupling —
@@ -170,7 +209,17 @@ class OracleTranspileResult:
 
     @property
     def physical_qubits_used(self) -> int:
-        return len(self.circuit.qubits_touched())
+        return len(_qubits_touched(self.circuit))
+
+
+def _remapped(gate: Gate, layout: dict[int, int]) -> Gate:
+    """``gate`` on its qubits' images under ``layout``."""
+    return Gate(gate.name, tuple(layout[q] for q in gate.qubits), gate.params)
+
+
+def _qubits_touched(circuit: Circuit) -> set[int]:
+    """The qubits some gate of ``circuit`` acts on."""
+    return {q for g in circuit.gates for q in g.qubits}
 
 
 class OracleTranspiler:
@@ -289,7 +338,7 @@ class OracleTranspiler:
 
         for gi, gate in enumerate(gates):
             if gate.num_qubits == 1:
-                routed.append(gate.remapped(layout))
+                routed.append(_remapped(gate, layout))
                 continue
             next_2q_index += 1
             a, b = gate.qubits
@@ -309,7 +358,7 @@ class OracleTranspiler:
                 guard += 1
                 if guard > 4 * self.num_physical_qubits:  # pragma: no cover
                     raise RuntimeError("routing failed to converge")
-            routed.append(gate.remapped(layout))
+            routed.append(_remapped(gate, layout))
         return routed, layout, num_swaps
 
     def _best_swap(
@@ -363,12 +412,11 @@ def oracle_transpile(oracle: OracleTranspiler, circuit: Circuit):
 def assert_matches_oracle(coupling: nx.Graph, circuit: Circuit) -> None:
     try:
         routed, expected = oracle_transpile(OracleTranspiler(coupling), circuit)
-    except RuntimeError as exc:
-        # The greedy router can swap back and forth without ever making
-        # the blocked gate adjacent; it then gives up, and so must the
-        # array router.
-        with pytest.raises(RuntimeError, match=str(exc)):
-            Transpiler(coupling).transpile(circuit)
+    except RuntimeError:
+        # The oracle's greedy router can swap back and forth without ever
+        # making the blocked gate adjacent, and then gives up; the array
+        # router walks that gate along a shortest path instead.
+        assert_valid_routing(coupling, circuit, Transpiler(coupling).transpile(circuit))
         return
     result = Transpiler(coupling).transpile(circuit)
     assert list(result.initial_layout.items()) == list(expected.initial_layout.items())
@@ -451,10 +499,11 @@ class TestMatchesGateObjectTranspiler:
             circuit.add("rzz", (a, b), 0.2)
         assert_matches_oracle(linear_coupling(6), circuit)
 
-    def test_oscillating_swaps_fail_like_the_oracle(self):
+    def test_oscillating_swaps_route_along_a_shortest_path(self):
         """Ten cx(0, 1) in the lookahead outweigh the blocked cx(2, 3), so
-        both routers swap logical qubit 3 back and forth between two
-        physical qubits and never route it."""
+        the lookahead swaps logical qubit 3 back and forth between two
+        physical qubits.  The oracle gives up; the array router undoes
+        those swaps and walks the gate together."""
         circuit = Circuit(4)
         circuit.add("cx", (2, 3))
         circuit.add("h", 0)
@@ -462,9 +511,14 @@ class TestMatchesGateObjectTranspiler:
             circuit.add("cx", (0, 1))
         circuit.add("cx", (0, 2))
         circuit.add("cx", (1, 2))
+        coupling = linear_coupling(5)
         with pytest.raises(RuntimeError, match="routing failed to converge"):
-            oracle_transpile(OracleTranspiler(linear_coupling(5)), circuit)
-        assert_matches_oracle(linear_coupling(5), circuit)
+            oracle_transpile(OracleTranspiler(coupling), circuit)
+        result = Transpiler(coupling).transpile(circuit)
+        assert result.num_swaps == 3
+        assert_respects_coupling(result.circuit, coupling)
+        assert_same_distribution(circuit, result)
+        assert_valid_routing(coupling, circuit, result)
 
     def test_empty_circuit(self):
         result = Transpiler(linear_coupling(3)).transpile(Circuit(2))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.classical import ExactQUBOSolver, greedy_descent
+from repro.classical import ExactNckSolver, ExactQUBOSolver, greedy_descent
+from repro.problems import MinVertexCover, circulant_graph
 from repro.qubo import QUBO
 
 
@@ -47,6 +48,23 @@ class TestExactSolver:
         solver = ExactQUBOSolver(node_limit=5)
         with pytest.raises(RuntimeError):
             solver._solve_branch_and_bound(q, q.variables)
+
+
+class TestQUBOVersusConstraintProgram:
+    """§VIII-C: solving the QUBO-translated problem classically is far
+    slower than solving the constraint program it came from."""
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_qubo_search_visits_far_more_nodes(self, n):
+        env = MinVertexCover(circulant_graph(n)).build_env()
+        qubo = env.to_qubo().qubo
+        qubo_solver = ExactQUBOSolver()
+        energy, _ = qubo_solver._solve_branch_and_bound(qubo, qubo.variables)
+        assert energy == qubo.ground_states()[0]
+        nck_solver = ExactNckSolver()
+        nck_solver.solve(env)
+        # Measured: 751 vs 11 nodes at n = 9, 4,697 vs 19 at n = 12.
+        assert qubo_solver.nodes_visited >= 50 * nck_solver.nodes_visited
 
 
 class TestGreedyDescent:

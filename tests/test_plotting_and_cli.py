@@ -81,10 +81,6 @@ class TestCLI:
 class TestLintCLI:
     """The ``lint`` subcommand: text/JSON output and 0/1/2 exit codes."""
 
-    def test_self_lint_is_clean(self, capsys):
-        assert main(["lint", "--self"]) == 0
-        assert "clean" in capsys.readouterr().out
-
     def test_program_lint_text(self, capsys):
         assert main(["lint", "vertex-cover", "--n", "8"]) == 0
         assert "clean" in capsys.readouterr().out
@@ -94,8 +90,21 @@ class TestLintCLI:
 
         assert main(["lint", "3sat", "--n", "6", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["summary"]["error"] == 0
+
+    def test_json_envelope_is_schema_stable(self, capsys):
+        import json
+
+        argv = ["lint", "vertex-cover", "--n", "8", "--hard-scale", "0.5", "--json"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["version"] == 2
+        assert set(payload) == {"version", "diagnostics", "summary"}
+        assert payload["summary"] == {"error": 0, "warning": 1, "info": 0}
+        (entry,) = payload["diagnostics"]
+        assert set(entry) == {"code", "severity", "message", "source", "object", "hint"}
+        assert entry["code"] == "NCK201" and entry["source"] == "program"
 
     def test_warning_findings_exit_1(self, capsys):
         # An explicit non-dominating hard scale trips NCK201 (warning).
@@ -115,25 +124,7 @@ class TestLintCLI:
         with pytest.raises(SystemExit) as excinfo:
             main(["lint"])
         assert excinfo.value.code == 2
-        assert "--self" in capsys.readouterr().err
-
-    def test_both_modes_at_once_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lint", "3sat", "--self"])
-        assert excinfo.value.code == 2
-
-
-class TestSelfLintCLI:
-    """``lint --self``: the JSON envelope on the shipped, clean tree."""
-
-    def test_json_envelope_is_schema_stable(self, capsys):
-        import json
-
-        assert main(["lint", "--self", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert set(payload) == {"version", "diagnostics", "summary"}
-        assert payload["summary"] == {"error": 0, "warning": 0, "info": 0}
+        assert "required: problem" in capsys.readouterr().err
 
 
 class TestRegistryHelpParity:

@@ -16,9 +16,11 @@ import pytest
 from repro import telemetry
 from repro.core.env import Env
 from repro.telemetry import (
+    KNOWN_SPAN_PREFIXES,
     HistogramStat,
     NullRecorder,
     TelemetryRecorder,
+    is_canonical_name,
 )
 
 
@@ -362,3 +364,23 @@ class TestPipelineIntegration:
         assert job.attributes["execution_model"] == "exact"
         report = telemetry.render_report()
         assert "QAOA iterations" in report
+
+
+class TestTelemetryNamingRegistry:
+    def test_known_prefixes(self):
+        assert KNOWN_SPAN_PREFIXES == {
+            "compile", "anneal", "circuit", "classical", "runtime",
+            "service", "experiments", "analysis",
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["compile.program", "anneal.embed.attempts", "runtime.solve"]
+    )
+    def test_canonical_names(self, name):
+        assert is_canonical_name(name)
+
+    @pytest.mark.parametrize(
+        "name", ["compile", "Compile.program", "warp.drive", "compile..x", ""]
+    )
+    def test_non_canonical_names(self, name):
+        assert not is_canonical_name(name)
